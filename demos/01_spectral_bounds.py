@@ -4,7 +4,7 @@ The score of the orientation game is the expectation of a single 4x4
 self-adjoint operator, so the best and worst any state can do at fixed
 measurement angles are its extreme eigenvalues. This script walks the
 two measurement families, compares the closed-form spectra with the
-Jacobi eigensolver, and locates the global optimum.
+numeric eigensolver, and locates the global optimum.
 """
 
 import numpy as np

@@ -10,6 +10,8 @@ byte-identical files; nothing is read from the environment.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -83,9 +85,12 @@ def write_dataset(columns, rows, args, metadata) -> None:
         }
         text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
     else:
-        lines = [",".join(columns)]
-        lines += [",".join(_format_value(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        # csv.writer quotes a cell holding a comma, such as a superpose:A,B,AMP spec
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_format_value(v) for v in row] for row in rows)
+        text = buffer.getvalue()
 
     if args.output is None:
         sys.stdout.write(text)
@@ -233,22 +238,36 @@ def cmd_fit(args) -> int:
 
 
 def _read_sweep_observations(path: str) -> list[tuple[OneParam, float]]:
-    """Read (theta_deg, beta) rows from a sweep-1d CSV file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
+    """Read (theta_deg, beta) rows from a sweep-1d CSV file.
+
+    A short row, an unparsable cell or a non-finite value is an error
+    naming the file and line.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, [cell.strip() for cell in row])
+                for row in reader if any(cell.strip() for cell in row)]
+    if not rows:
         raise ValueError(f"no data in {path}")
-    header = lines[0].split(",")
+    header = rows[0][1]
     try:
         k_theta = header.index("theta_deg")
         k_beta = header.index("beta")
     except ValueError:
         raise ValueError(f"{path} must have theta_deg and beta columns") from None
     observed = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        observed.append((OneParam(math.radians(float(parts[k_theta]))),
-                         float(parts[k_beta])))
+    for line, row in rows[1:]:
+        if len(row) < len(header):
+            raise ValueError(f"{path}, line {line}: expected {len(header)} cells, "
+                             f"got {len(row)}")
+        try:
+            theta_deg, beta = float(row[k_theta]), float(row[k_beta])
+        except ValueError:
+            raise ValueError(f"{path}, line {line}: theta_deg and beta must be "
+                             f"numbers, got {row[k_theta]!r}, {row[k_beta]!r}") from None
+        if not (math.isfinite(theta_deg) and math.isfinite(beta)):
+            raise ValueError(f"{path}, line {line}: theta_deg and beta must be finite")
+        observed.append((OneParam(math.radians(theta_deg)), beta))
     if not observed:
         raise ValueError(f"no observation rows in {path}")
     return observed

@@ -3,9 +3,9 @@
 Everything the rest of the package touches is a small complex matrix:
 single-qubit projectors, two-qubit density matrices, and the game
 operator. This module supplies the handful of operations they need
-(products, Kronecker products, traces) plus a cyclic-Jacobi eigensolver
-for Hermitian matrices of these sizes. No attempt is made to scale past
-dimension 4.
+(products, Kronecker products, traces) plus a Hermitian eigensolver,
+a validating front end to ``numpy.linalg.eigh`` that also takes whole
+stacks of matrices. No attempt is made to scale past dimension 4.
 """
 
 from __future__ import annotations
@@ -17,14 +17,6 @@ import numpy as np
 VALID_DIMS = (2, 4)
 
 HERMITICITY_TOL = 1e-10
-JACOBI_OFFDIAG_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
-
-# pivot orders for the cyclic sweeps
-_PIVOTS = {
-    2: ((0, 1),),
-    4: ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
-}
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -39,21 +31,19 @@ PAULI_Y = _readonly(np.array([[0, -1j], [1j, 0]], dtype=complex))
 PAULI_Z = _readonly(np.array([[1, 0], [0, -1]], dtype=complex))
 
 
-class ConvergenceError(RuntimeError):
-    """Raised when the Jacobi iteration hits its sweep cap."""
-
-
-def as_matrix(a, dims: tuple[int, ...] = VALID_DIMS) -> np.ndarray:
+def as_matrix(a, dims: tuple[int, ...] = VALID_DIMS, stack: bool = False) -> np.ndarray:
     """Validate a square complex matrix of an allowed dimension.
 
-    Returns a complex128 copy-free view when possible. Rejects
-    non-square shapes, unsupported dimensions and non-finite entries.
+    With ``stack`` the input may also be a stack of such matrices,
+    shape ``(..., n, n)``. Returns a complex128 copy-free view when
+    possible. Rejects non-square shapes, unsupported dimensions and
+    non-finite entries.
     """
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if (m.ndim != 2 and not (stack and m.ndim > 2)) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] not in dims:
-        raise ValueError(f"unsupported dimension {m.shape[0]}, expected one of {dims}")
+    if m.shape[-1] not in dims:
+        raise ValueError(f"unsupported dimension {m.shape[-1]}, expected one of {dims}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
@@ -86,9 +76,9 @@ def trace(a) -> complex:
 
 
 def hermiticity_defect(a) -> float:
-    """Max entrywise |a - a^dagger|."""
+    """Max entrywise |a - a^dagger|, over a whole stack of matrices."""
     m = np.asarray(a, dtype=complex)
-    return float(np.abs(m - m.conj().T).max())
+    return float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
 
 
 def is_hermitian(a, tol: float = HERMITICITY_TOL) -> bool:
@@ -99,7 +89,8 @@ def is_hermitian(a, tol: float = HERMITICITY_TOL) -> bool:
 class Spectrum:
     """Eigenvalues in descending order with matching unit eigenvectors.
 
-    ``eigenvectors[:, k]`` belongs to ``eigenvalues[k]``. Within a
+    ``eigenvectors[:, k]`` belongs to ``eigenvalues[k]`` (for a stack,
+    ``eigenvectors[..., :, k]`` to ``eigenvalues[..., k]``). Within a
     degenerate cluster the individual vectors are basis-arbitrary; only
     the spanned subspace is meaningful.
     """
@@ -112,61 +103,22 @@ class Spectrum:
         object.__setattr__(self, "eigenvectors", _readonly(np.array(self.eigenvectors, dtype=complex)))
 
 
-def hermitian_eigen(a, tol: float = JACOBI_OFFDIAG_TOL,
-                    max_sweeps: int = JACOBI_MAX_SWEEPS) -> Spectrum:
-    """Full spectrum of a Hermitian matrix by cyclic Jacobi rotations.
+def hermitian_eigen(a) -> Spectrum:
+    """Full spectrum of a Hermitian matrix, or of a stack of them.
 
-    Each rotation annihilates one off-diagonal pivot: the pivot's phase
-    is absorbed into a diagonal unitary, then a real plane rotation
-    zeroes it. Sweeps stop once the off-diagonal Frobenius norm falls
-    below ``tol``.
+    ``a`` has shape ``(n, n)`` or ``(..., n, n)`` with n in VALID_DIMS;
+    a stack is diagonalized in one ``numpy.linalg.eigh`` call. The
+    Spectrum then holds ``(..., n)`` eigenvalues and ``(..., n, n)``
+    eigenvectors, with ``eigenvectors[..., :, k]`` belonging to
+    ``eigenvalues[..., k]``.
 
-    Raises ValueError for non-Hermitian input and ConvergenceError if
-    ``max_sweeps`` full sweeps do not reach the threshold.
+    Raises ValueError for malformed, non-finite or non-Hermitian input.
     """
-    m = as_matrix(a)
-    if not is_hermitian(m):
+    m = as_matrix(a, stack=True)
+    defect = hermiticity_defect(m)
+    if defect > HERMITICITY_TOL:
         raise ValueError("hermitian_eigen requires a Hermitian matrix "
-                         f"(defect {hermiticity_defect(m):.3e} > {HERMITICITY_TOL:.0e})")
-    n = m.shape[0]
-    work = np.array(m, dtype=complex)
-    vecs = np.eye(n, dtype=complex)
-    pivots = _PIVOTS[n]
-
-    def converged() -> bool:
-        off = np.abs(work) ** 2
-        off[np.diag_indices(n)] = 0.0
-        return bool(np.sqrt(off.sum()) <= tol)
-
-    for _ in range(max_sweeps):
-        if converged():
-            return _sorted_spectrum(work, vecs)
-        for p, q in pivots:
-            apq = work[p, q]
-            r = abs(apq)
-            if r == 0.0:
-                continue
-            # diag(1, conj(apq)/r) makes the pivot real; then a plane
-            # rotation by theta zeroes it.
-            w = apq.conjugate() / r
-            theta = 0.5 * np.arctan2(2.0 * r, work[p, p].real - work[q, q].real)
-            c = np.cos(theta)
-            s = np.sin(theta)
-            rot = np.eye(n, dtype=complex)
-            rot[p, p] = c
-            rot[p, q] = -s
-            rot[q, p] = w * s
-            rot[q, q] = w * c
-            work = rot.conj().T @ work @ rot
-            vecs = vecs @ rot
-
-    if converged():
-        return _sorted_spectrum(work, vecs)
-    raise ConvergenceError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
-
-
-def _sorted_spectrum(diagonalized: np.ndarray, vecs: np.ndarray) -> Spectrum:
-    vals = diagonalized.diagonal().real
-    # stable sort keeps Jacobi output order among ties
-    order = np.argsort(-vals, kind="stable")
-    return Spectrum(eigenvalues=vals[order], eigenvectors=vecs[:, order])
+                         f"(defect {defect:.3e} > {HERMITICITY_TOL:.0e})")
+    vals, vecs = np.linalg.eigh(m)
+    # eigh sorts ascending; the Spectrum convention is descending
+    return Spectrum(eigenvalues=vals[..., ::-1], eigenvectors=vecs[..., ::-1])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .states import Parametrization, QuantumState, projector
+from .states import Parametrization, QuantumState, _check_angle, _check_sign
 
 N_PATHS = 3
 N_TERMS = 9  # 3 same-path + 6 ordered cross-path
@@ -24,10 +24,21 @@ CLASSICAL_BOUND = 7.0
 # ordered cross-path index pairs (0-based), the fixed order used by
 # BetaBreakdown.p_opp and the count tables
 OPP_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
+_OPP_ROWS, _OPP_COLS = (list(k) for k in zip(*OPP_PAIRS))
 
 OPERATOR_TRACE = 18.0  # 18 terms, each a product of two unit-trace projectors
 MIXED_BETA = OPERATOR_TRACE / 4.0  # score of the maximally mixed state, any settings
 PURE_MAX_BETA = 7.5  # top of the spectrum over all settings (reached by phi+)
+
+# tau_k (x) tau_l for tau = (I, X, Z): contracting rho with these gives its
+# local Bloch components and correlations in the x-z plane
+_TAU = (linalg.IDENTITY_2, linalg.PAULI_X, linalg.PAULI_Z)
+_PAULI_PAIRS = np.array([[np.kron(p, q) for q in _TAU] for p in _TAU])
+# sigma_k (x) sigma_l for k, l in (x, z), flattened to (4, 16)
+_XZ_PAIRS = _PAULI_PAIRS[1:, 1:].reshape(4, 16)
+# outcome signs of Alice and Bob in the order (++, +-, -+, --)
+_SIGN_A = np.array([1.0, 1.0, -1.0, -1.0])
+_SIGN_B = np.array([1.0, -1.0, 1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -48,61 +59,122 @@ class BetaBreakdown:
                    success_probability=beta / N_TERMS)
 
 
+def _directions(theta) -> np.ndarray:
+    """x-z components (sin, cos) of n(theta), for an angle array: shape (..., 2)."""
+    theta = np.asarray(theta, dtype=float)
+    return np.stack([np.sin(theta), np.cos(theta)], axis=-1)
+
+
+def _bloch_components(state: QuantumState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x-z blocks of rho's Bloch data: Alice's vector a, Bob's b, correlations T.
+
+    ``a_k = tr(rho sigma_k (x) I)``, ``b_k = tr(rho I (x) sigma_k)`` and
+    ``T_kl = tr(rho sigma_k (x) sigma_l)`` for k, l in (x, z). Every
+    Born-rule number of the game depends on rho only through these.
+    """
+    block = np.einsum("klxy,yx->kl", _PAULI_PAIRS, state.rho).real
+    return block[1:, 0], block[0, 1:], block[1:, 1:]
+
+
+def correlators(state: QuantumState, theta_a, theta_b) -> np.ndarray:
+    """Correlators E = tr(rho [A(theta_a) (x) A(theta_b)]) = n_a . T . n_b.
+
+    ``theta_a`` and ``theta_b`` broadcast against each other, and so
+    does the result; for the three settings of a triple ``t`` the
+    correlation matrix ``E = N T N^T`` is
+    ``correlators(state, t[..., :, None], t[..., None, :])``.
+    """
+    _, _, t = _bloch_components(state)
+    return np.einsum("...k,kl,...l->...", _directions(theta_a), t, _directions(theta_b))
+
+
+def outcome_distribution(state: QuantumState, theta_a, theta_b) -> np.ndarray:
+    """Joint outcome probabilities at angle pairs, order (++, +-, -+, --).
+
+    ``theta_a`` and ``theta_b`` broadcast against each other; the result
+    has their broadcast shape plus a trailing axis of 4. Each entry is
+    ``(1 + s_a a.n_a + s_b b.n_b + s_a s_b E) / 4``, which is
+    ``tr(rho [A_sa(ta) (x) A_sb(tb)])`` expanded over the Pauli basis.
+    """
+    a, b, _ = _bloch_components(state)
+    local_a = (_directions(theta_a) @ a)[..., None]
+    local_b = (_directions(theta_b) @ b)[..., None]
+    corr = correlators(state, theta_a, theta_b)[..., None]
+    return (1.0 + _SIGN_A * local_a + _SIGN_B * local_b + _SIGN_A * _SIGN_B * corr) / 4.0
+
+
 def joint_probability(state: QuantumState, sign_a: int, theta_a: float,
                       sign_b: int, theta_b: float) -> float:
     """Probability of outcome pair (sign_a, sign_b) at angles (theta_a, theta_b).
 
     Born rule: tr(rho [A_sa(ta) (x) A_sb(tb)]).
     """
-    op = linalg.kron(projector(sign_a, theta_a), projector(sign_b, theta_b))
-    return float(np.trace(state.rho @ op).real)
-
-
-def outcome_distribution(state: QuantumState, theta_a: float, theta_b: float) -> np.ndarray:
-    """The four joint probabilities at one angle pair, order (++, +-, -+, --)."""
-    return np.array([
-        joint_probability(state, +1, theta_a, +1, theta_b),
-        joint_probability(state, +1, theta_a, -1, theta_b),
-        joint_probability(state, -1, theta_a, +1, theta_b),
-        joint_probability(state, -1, theta_a, -1, theta_b),
-    ])
+    k = 2 * (_check_sign(sign_a) < 0) + (_check_sign(sign_b) < 0)
+    theta_a, theta_b = _check_angle(theta_a, "theta_a"), _check_angle(theta_b, "theta_b")
+    return float(outcome_distribution(state, theta_a, theta_b)[k])
 
 
 def prob_same(state: QuantumState, theta: float) -> float:
     """Probability both players output the same direction at a shared angle."""
-    return (joint_probability(state, +1, theta, +1, theta)
-            + joint_probability(state, -1, theta, -1, theta))
+    return float(1.0 + correlators(state, theta, theta)) / 2.0
 
 
 def prob_opp(state: QuantumState, theta_i: float, theta_j: float) -> float:
     """Probability of opposite directions at two different path angles."""
-    return (joint_probability(state, +1, theta_i, -1, theta_j)
-            + joint_probability(state, -1, theta_i, +1, theta_j))
+    return float(1.0 - correlators(state, theta_i, theta_j)) / 2.0
+
+
+def _terms(state: QuantumState, angles) -> tuple[np.ndarray, np.ndarray]:
+    """Same-path (..., 3) and cross-path (..., 6) success probabilities.
+
+    With the correlation matrix ``E = N T N^T`` at setting angles of
+    shape (..., 3), ``p_same_i = (1 + E_ii) / 2`` and
+    ``p_opp_ij = (1 - E_ij) / 2`` in OPP_PAIRS order.
+    """
+    angles = np.asarray(angles, dtype=float)
+    e = correlators(state, angles[..., :, None], angles[..., None, :])
+    p_same = (1.0 + np.diagonal(e, axis1=-2, axis2=-1)) / 2.0
+    p_opp = (1.0 - e[..., _OPP_ROWS, _OPP_COLS]) / 2.0
+    return p_same, p_opp
+
+
+def beta_grid(state: QuantumState, angles) -> np.ndarray:
+    """Score at setting angles of shape (..., 3): ``beta_value`` over a grid.
+
+    Equal to ``4.5 + (2 sum_i E_ii - sum_ij E_ij) / 2``, the correlator
+    identity, up to rounding.
+    """
+    p_same, p_opp = _terms(state, angles)
+    return p_same.sum(axis=-1) + p_opp.sum(axis=-1)
+
+
+def game_operators(angles) -> np.ndarray:
+    """Game operators for setting angles of shape (..., 3), shape (..., 4, 4).
+
+    ``G = 4.5 I + (2 sum_i A_i (x) A_i - S (x) S) / 2`` with
+    ``A_i = sin(t_i) X + cos(t_i) Z`` and ``S = sum_i A_i``: the 18
+    projector products (equal signs on equal paths, unequal signs on the
+    6 ordered unequal path pairs) collected over the Pauli basis. Its
+    trace is 18 for any settings. With N the (..., 3, 2) matrix of x-z
+    directions, ``A_i (x) A_j = sum_kl N_ik N_jl sigma_k (x) sigma_l``,
+    so the bracket is ``sum_kl K_kl sigma_k (x) sigma_l`` with the 2x2
+    ``K = 2 N^T N - (N^T 1)(N^T 1)^T``.
+    """
+    n = _directions(angles)
+    total = n.sum(axis=-2)
+    k = 2.0 * (np.swapaxes(n, -1, -2) @ n) - total[..., :, None] * total[..., None, :]
+    pairs = k.reshape(k.shape[:-2] + (4,)) @ _XZ_PAIRS
+    return MIXED_BETA * linalg.IDENTITY_4 + pairs.reshape(pairs.shape[:-1] + (4, 4)) / 2.0
 
 
 def game_operator(settings: Parametrization) -> np.ndarray:
     """The self-adjoint operator whose expectation in rho equals beta.
 
-    Sum of the 18 projector products: equal signs on equal paths plus
-    unequal signs on the 6 ordered unequal path pairs. Its trace is 18
-    for any settings.
+    ``game_operators`` at the single setting triple of ``settings``.
     """
-    angles = settings.settings().as_tuple()
-    plus = [projector(+1, t) for t in angles]
-    minus = [projector(-1, t) for t in angles]
-    op = np.zeros((4, 4), dtype=complex)
-    for i in range(N_PATHS):
-        op += linalg.kron(plus[i], plus[i])
-        op += linalg.kron(minus[i], minus[i])
-    for i, j in OPP_PAIRS:
-        op += linalg.kron(plus[i], minus[j])
-        op += linalg.kron(minus[i], plus[j])
-    return op
+    return game_operators(settings.settings().as_tuple())
 
 
 def beta_value(state: QuantumState, settings: Parametrization) -> BetaBreakdown:
-    """Score the state at the given settings, term by term."""
-    angles = settings.settings().as_tuple()
-    p_same = [prob_same(state, t) for t in angles]
-    p_opp = [prob_opp(state, angles[i], angles[j]) for i, j in OPP_PAIRS]
-    return BetaBreakdown.from_terms(p_same, p_opp)
+    """Score the state at the given settings, term by term (see ``_terms``)."""
+    return BetaBreakdown.from_terms(*_terms(state, settings.settings().as_tuple()))

@@ -8,6 +8,7 @@ not depend on evaluation order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,14 +68,11 @@ class GameEstimate:
 
 def _distribution_table(state: QuantumState, settings: Parametrization) -> np.ndarray:
     """(3, 3, 4) joint outcome distributions for every ordered path pair."""
-    angles = settings.settings().as_tuple()
-    table = np.empty((3, 3, 4))
-    for i in range(3):
-        for j in range(3):
-            table[i, j] = outcome_distribution(state, angles[i], angles[j])
+    angles = np.array(settings.settings().as_tuple())
+    table = np.clip(outcome_distribution(state, angles[:, None], angles[None, :]), 0.0, None)
     # outcome probabilities sum to one up to rounding; normalize so the
     # inverse-cdf draw below cannot fall off the end
-    return np.clip(table, 0.0, None) / table.sum(axis=2, keepdims=True)
+    return table / table.sum(axis=2, keepdims=True)
 
 
 def sample_trial(state: QuantumState, settings: Parametrization,
@@ -216,6 +214,8 @@ def fit_noise_max_point(beta_max: float) -> NoiseFit:
     p = (beta_max - 4.5) / 3.
     """
     beta_max = float(beta_max)
+    if not math.isfinite(beta_max):
+        raise ValueError(f"beta_max must be finite, got {beta_max}")
     p = (beta_max - MIXED_BETA) / (PURE_MAX_BETA - MIXED_BETA)
     p_hat = min(1.0, max(0.0, p))
     model = MIXED_BETA + (PURE_MAX_BETA - MIXED_BETA) * p_hat
@@ -235,13 +235,15 @@ def fit_noise(observed, method: str = "curve-fit") -> NoiseFit:
     observed = list(observed)
     if not observed:
         raise ValueError("fit_noise requires at least one observation")
+    betas = np.array([float(beta) for _, beta in observed])
+    if not np.all(np.isfinite(betas)):
+        raise ValueError("observed beta values must be finite")
     if method == "max-point":
-        return fit_noise_max_point(max(beta for _, beta in observed))
+        return fit_noise_max_point(betas.max())
     if method != "curve-fit":
         raise ValueError(f"unknown fit method {method!r}")
 
     pure = bell_state_density(BellState.PHI_PLUS)
-    betas = np.array([float(beta) for _, beta in observed])
     pure_betas = np.array([beta_value(pure, _as_settings(x)).beta for x, _ in observed])
 
     slope = pure_betas - MIXED_BETA

@@ -6,8 +6,10 @@ exactly over [lambda_min, lambda_max] of the game operator. For the two
 measurement families used throughout (angles (0, 2*phi, 2*theta) and
 (0, 2*theta, -2*theta)) the full spectrum has closed trigonometric
 forms, implemented here verbatim and cross-checked against the numeric
-eigensolver. Eigenvectors are classified by their content in the Bell
-basis rather than by index, which stays meaningful under degeneracies.
+eigensolver (LAPACK through numpy); both take whole angle grids, so a
+sweep evaluates its grid in one call. Eigenvectors are classified by
+their content in the Bell basis rather than by index, which stays
+meaningful under degeneracies.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .scoring import game_operator
+from .scoring import beta_grid, game_operator, game_operators
 from .states import (
     BELL_BASIS_ORDER,
     BellState,
@@ -139,7 +141,7 @@ def closed_form_one_param(theta: float) -> ClosedFormSpectrum:
 
 
 def numeric_spectrum(settings: Parametrization) -> linalg.Spectrum:
-    """Spectrum of the game operator by the Jacobi eigensolver."""
+    """Spectrum of the game operator by the numeric eigensolver (LAPACK)."""
     return linalg.hermitian_eigen(game_operator(settings.settings()))
 
 
@@ -292,52 +294,41 @@ def sweep_surface(family, grid_resolution: int, state: QuantumState | None = Non
 
     With ``state=None`` the columns are the closed-form eigenvalues
     (plus, for the one-parameter family, their fixed Bell labels); with
-    a state they are its beta. ``include_numeric`` appends the Jacobi
+    a state they are its beta. ``include_numeric`` appends the numeric
     eigenvalues in descending order for cross-validation. Angles in the
-    dataset are degrees.
+    dataset are degrees. The whole grid is evaluated at once: one
+    closed-form call, one correlator contraction or one batched
+    eigensolve, never a call per point.
     """
     axis_deg = _family_axis(grid_resolution)
-    rows: list[tuple] = []
-
     if family is TwoParam:
         lead = ("phi_deg", "theta_deg")
-        points = [(p, t) for p in axis_deg for t in axis_deg]
+        params_deg = [m.ravel() for m in np.meshgrid(axis_deg, axis_deg, indexing="ij")]
     elif family is OneParam:
         lead = ("theta_deg",)
-        points = [(t,) for t in axis_deg]
+        params_deg = [axis_deg]
     else:
         raise ValueError("family must be the TwoParam or OneParam class")
+    params = [np.radians(p) for p in params_deg]
+    angles = family.angles(*params)
 
     if state is not None:
-        # expectation-value route, term-sum equivalence is pinned by tests
         columns = lead + ("beta",)
-        rho = state.rho
-        for pt in points:
-            params = [math.radians(x) for x in pt]
-            fam = TwoParam(*params) if family is TwoParam else OneParam(*params)
-            value = float(np.trace(rho @ game_operator(fam.settings())).real)
-            rows.append(tuple(float(x) for x in pt) + (value,))
-        return SweepDataset(columns=columns, rows=rows)
+        return SweepDataset(columns=columns, rows=_rows(params_deg + [beta_grid(state, angles)]))
 
     columns = lead + ("lambda1", "lambda2", "lambda3", "lambda4")
+    lambdas = (_two_param_lambdas if family is TwoParam else _one_param_lambdas)(*params)
+    values = params_deg + list(lambdas)
     if family is OneParam:
         columns += ("state1", "state2", "state3", "state4")
+        values += [np.full(len(angles), s.value) for s in ONE_PARAM_EIGENVECTORS]
     if include_numeric:
         columns += ("lambda1_numeric", "lambda2_numeric",
                     "lambda3_numeric", "lambda4_numeric")
-    labels = tuple(s.value for s in ONE_PARAM_EIGENVECTORS)
+        values += list(linalg.hermitian_eigen(game_operators(angles)).eigenvalues.T)
+    return SweepDataset(columns=columns, rows=_rows(values))
 
-    for pt in points:
-        params = [math.radians(x) for x in pt]
-        if family is TwoParam:
-            cf = closed_form_two_param(*params)
-        else:
-            cf = closed_form_one_param(*params)
-        row = tuple(float(x) for x in pt) + tuple(cf.as_array())
-        if family is OneParam:
-            row += labels
-        if include_numeric:
-            numeric = numeric_spectrum(cf.parametrization.settings())
-            row += tuple(numeric.eigenvalues)
-        rows.append(row)
-    return SweepDataset(columns=columns, rows=rows)
+
+def _rows(columns) -> list[tuple]:
+    """Rows of plain Python values (what the serializers expect) from column arrays."""
+    return list(zip(*(c.tolist() for c in columns)))

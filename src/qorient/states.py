@@ -74,6 +74,13 @@ class TwoParam:
     phi: float
     theta: float
 
+    @staticmethod
+    def angles(phi, theta) -> np.ndarray:
+        """The angles of ``settings()`` for parameter arrays, shape (..., 3)."""
+        phi, theta = np.broadcast_arrays(np.asarray(phi, dtype=float),
+                                         np.asarray(theta, dtype=float))
+        return np.stack([np.zeros_like(phi), 2.0 * phi, 2.0 * theta], axis=-1)
+
     def settings(self) -> SettingTriple:
         return SettingTriple(0.0, 2.0 * self.phi, 2.0 * self.theta)
 
@@ -83,6 +90,12 @@ class OneParam:
     """One-parameter measurement family: angles (0, 2*theta, -2*theta)."""
 
     theta: float
+
+    @staticmethod
+    def angles(theta) -> np.ndarray:
+        """The angles of ``settings()`` for a parameter array, shape (..., 3)."""
+        theta = np.asarray(theta, dtype=float)
+        return np.stack([np.zeros_like(theta), 2.0 * theta, -2.0 * theta], axis=-1)
 
     def settings(self) -> SettingTriple:
         return SettingTriple(0.0, 2.0 * self.theta, -2.0 * self.theta)

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface."""
 
+import csv
 import json
 
 import numpy as np
@@ -138,6 +139,16 @@ class TestSimulate:
         assert run(["simulate", "--trials", "50"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_superpose_spec_stays_one_cell(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        spec = "superpose:psi+,phi-,0.6"
+        assert run(["simulate", "--state", spec, "--trials", "1000", "-o", str(out)]) == 0
+        with open(out, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert len(header) == 9
+        assert [len(r) for r in rows] == [9]
+        assert rows[0][0] == spec
+
     def test_deterministic(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -205,6 +216,25 @@ class TestFit:
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
         assert run(["fit", "--input", str(bad)]) == 2
+
+    @pytest.mark.parametrize("body, line", [
+        ("theta_deg,beta\n10,7\n20\n", 3),
+        ("theta_deg,beta\n10,7\n20,abc\n", 3),
+        ("theta_deg,beta\n\n10,7\n20,nan\n", 4),  # blank lines still count
+        ("theta_deg,beta\ninf,7\n", 2),
+    ], ids=["short-row", "unparsable-cell", "nan-beta", "inf-theta"])
+    def test_bad_input_row_names_file_and_line(self, tmp_path, capsys, body, line):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(body)
+        assert run(["fit", "--input", str(bad)]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert f"{bad}, line {line}:" in err[0]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_beta_max(self, capsys, value):
+        assert run(["fit", f"--beta-max={value}"]) == 2
+        assert "finite" in capsys.readouterr().err
 
 
 class TestErrorPaths:

@@ -1,11 +1,10 @@
-"""Matrix plumbing and the Jacobi eigensolver."""
+"""Matrix plumbing and the Hermitian eigensolver."""
 
 import numpy as np
 import pytest
 
 from qorient import linalg
 from qorient.linalg import (
-    ConvergenceError,
     IDENTITY_2,
     IDENTITY_4,
     PAULI_X,
@@ -107,10 +106,22 @@ class TestHermitianEigen:
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_eigen(np.array([[0, 1], [0, 0]], dtype=complex))
 
-    def test_convergence_cap_raises(self):
-        rng = np.random.default_rng(3)
-        with pytest.raises(ConvergenceError):
-            hermitian_eigen(random_hermitian(rng, 4), max_sweeps=0)
+    def test_stack_matches_single_calls(self):
+        rng = np.random.default_rng(4)
+        stack = np.array([random_hermitian(rng, 4) for _ in range(12)]).reshape(3, 4, 4, 4)
+        spec = hermitian_eigen(stack)
+        assert spec.eigenvalues.shape == (3, 4, 4)
+        assert spec.eigenvectors.shape == (3, 4, 4, 4)
+        for idx in np.ndindex(3, 4):
+            single = hermitian_eigen(stack[idx])
+            assert np.array_equal(spec.eigenvalues[idx], single.eigenvalues)
+            v = spec.eigenvectors[idx]
+            assert np.abs(stack[idx] @ v - v * spec.eigenvalues[idx]).max() < 1e-9
+
+    def test_stack_with_one_non_hermitian_rejected(self):
+        stack = np.array([np.eye(2), [[0, 1], [0, 0]]], dtype=complex)
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_eigen(stack)
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_descending_order_and_residuals(self, n):

@@ -198,6 +198,14 @@ class TestFitNoise:
         fit = fit_noise(observed, method="max-point")
         assert abs(fit.p_hat - 0.97) < 1e-12
 
+    @pytest.mark.parametrize("method", ["curve-fit", "max-point"])
+    def test_non_finite_observations_rejected(self, method):
+        observed = [(OneParam(0.1), 7.0), (OneParam(0.2), float("nan"))]
+        with pytest.raises(ValueError, match="finite"):
+            fit_noise(observed, method=method)
+        with pytest.raises(ValueError, match="finite"):
+            fit_noise_max_point(float("inf"))
+
     def test_empty_observations_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             fit_noise([])
