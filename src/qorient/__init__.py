@@ -26,9 +26,6 @@ from .linalg import (
     PAULI_Z,
     Spectrum,
     hermitian_eigen,
-    kron,
-    matmul,
-    trace,
 )
 from .scoring import (
     BetaBreakdown,
@@ -41,10 +38,7 @@ from .scoring import (
     correlators,
     game_operator,
     game_operators,
-    joint_probability,
     outcome_distribution,
-    prob_opp,
-    prob_same,
 )
 from .simulate import (
     CountTable,
@@ -145,16 +139,11 @@ __all__ = [
     "game_operator",
     "game_operators",
     "hermitian_eigen",
-    "joint_probability",
-    "kron",
-    "matmul",
     "maximally_mixed",
     "noisy_phi_plus",
     "numeric_spectrum",
     "outcome_distribution",
     "polarization_ket",
-    "prob_opp",
-    "prob_same",
     "projector",
     "pure_state",
     "run_game",
@@ -162,5 +151,4 @@ __all__ = [
     "superpose",
     "sweep_surface",
     "synth_counts",
-    "trace",
 ]

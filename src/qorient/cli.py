@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .classical import classical_maximum, classical_minimum, classical_success_bound, enumerate_all
-from .scoring import CLASSICAL_BOUND, N_TERMS, beta_value
+from .scoring import CLASSICAL_BOUND, MIXED_BETA, N_TERMS, PURE_MAX_BETA, beta_value
 from .simulate import (
     beta_from_counts,
     fit_noise,
@@ -26,7 +26,7 @@ from .simulate import (
     run_game,
     synth_counts,
 )
-from .spectra import sweep_surface
+from .spectra import MAX_GRID_POINTS, sweep_surface
 from .states import (
     BellState,
     OneParam,
@@ -40,6 +40,9 @@ from .states import (
 
 MIN_STATISTICAL_SAMPLES = 100
 DEFAULT_SETTINGS_DEG = (0.0, 120.0, -120.0)
+GRID_HELP_2D = (f"points per axis over [-90, 90] degrees (default: 181; at least 2, and "
+                f"at most {MAX_GRID_POINTS} grid points in all, so {math.isqrt(MAX_GRID_POINTS)} "
+                "per axis for the two-parameter family)")
 
 
 def parse_state(spec: str) -> QuantumState:
@@ -230,7 +233,11 @@ def cmd_fit(args) -> int:
     rows = [(f.method, f.p_hat, f.residual) for f in fits]
     write_dataset(columns, rows, args, {"beta_max": args.beta_max, "input": args.input})
     for f in fits:
-        _say(args, f"{f.method}: p = {f.p_hat:.6f} (residual {f.residual:.3g})")
+        note = ""
+        if f.method == "max-point" and not MIXED_BETA <= args.beta_max <= PURE_MAX_BETA:
+            note = (f"; clamped, since beta_max {args.beta_max:g} lies outside [{MIXED_BETA:g}, "
+                    f"{PURE_MAX_BETA:g}], from white noise to the quantum maximum")
+        _say(args, f"{f.method}: p = {f.p_hat:.6f} (residual {f.residual:.3g}){note}")
     if len(fits) == 1 and fits[0].method == "max-point":
         _say(args, "note: a single maximum pins p through the noise line only; "
                    "compare with a full-curve fit (--input) when sweep data exist")
@@ -299,8 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: 0 120 -120, the quantum optimum)")
 
     p = sub.add_parser("eigs", help="eigenvalue bounds over a measurement family grid")
-    p.add_argument("--grid", type=int, default=181,
-                   help="points per axis over [-90, 90] degrees (default: 181)")
+    p.add_argument("--grid", type=int, default=181, help=GRID_HELP_2D)
     p.add_argument("--one-param", action="store_true",
                    help="sweep the single-parameter family (0, 2t, -2t) instead")
     add_common(p)
@@ -309,15 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("beta-surface", help="score surface of a state over the "
                                             "two-parameter family")
     add_state(p)
-    p.add_argument("--grid", type=int, default=181,
-                   help="points per axis over [-90, 90] degrees (default: 181)")
+    p.add_argument("--grid", type=int, default=181, help=GRID_HELP_2D)
     add_common(p)
     p.set_defaults(func=cmd_beta_surface)
 
     p = sub.add_parser("sweep-1d", help="score of a state along the one-parameter family")
     add_state(p)
     p.add_argument("--grid", type=int, default=361,
-                   help="points over [-90, 90] degrees (default: 361)")
+                   help=f"points over [-90, 90] degrees (default: 361; at least 2, "
+                        f"at most {MAX_GRID_POINTS})")
     add_common(p)
     p.set_defaults(func=cmd_sweep_1d)
 

@@ -2,9 +2,10 @@
 
 Everything the rest of the package touches is a small complex matrix:
 single-qubit projectors, two-qubit density matrices, and the game
-operator. This module supplies the handful of operations they need
-(products, Kronecker products, traces) plus a Hermitian eigensolver,
-a validating front end to ``numpy.linalg.eigh`` that also takes whole
+operator. Products, Kronecker products and traces are plain numpy;
+this module holds the Pauli constants, the input checks (shape,
+dimension, finiteness, Hermiticity) and a Hermitian eigensolver, a
+validating front end to ``numpy.linalg.eigh`` that also takes whole
 stacks of matrices. No attempt is made to scale past dimension 4.
 """
 
@@ -49,40 +50,10 @@ def as_matrix(a, dims: tuple[int, ...] = VALID_DIMS, stack: bool = False) -> np.
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of two equal-dimension matrices."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a @ b
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two 2x2 matrices, a[0,0]*b in the top-left block."""
-    a = as_matrix(a, dims=(2,))
-    b = as_matrix(b, dims=(2,))
-    out = np.empty((4, 4), dtype=complex)
-    out[:2, :2] = a[0, 0] * b
-    out[:2, 2:] = a[0, 1] * b
-    out[2:, :2] = a[1, 0] * b
-    out[2:, 2:] = a[1, 1] * b
-    return out
-
-
-def trace(a) -> complex:
-    """Sum of diagonal entries."""
-    return complex(as_matrix(a).trace())
-
-
 def hermiticity_defect(a) -> float:
     """Max entrywise |a - a^dagger|, over a whole stack of matrices."""
     m = np.asarray(a, dtype=complex)
     return float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
-
-
-def is_hermitian(a, tol: float = HERMITICITY_TOL) -> bool:
-    return hermiticity_defect(a) <= tol
 
 
 @dataclass(frozen=True)
@@ -92,15 +63,12 @@ class Spectrum:
     ``eigenvectors[:, k]`` belongs to ``eigenvalues[k]`` (for a stack,
     ``eigenvectors[..., :, k]`` to ``eigenvalues[..., k]``). Within a
     degenerate cluster the individual vectors are basis-arbitrary; only
-    the spanned subspace is meaningful.
+    the spanned subspace is meaningful. ``hermitian_eigen`` returns both
+    arrays read-only.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", _readonly(np.array(self.eigenvalues, dtype=float)))
-        object.__setattr__(self, "eigenvectors", _readonly(np.array(self.eigenvectors, dtype=complex)))
 
 
 def hermitian_eigen(a) -> Spectrum:
@@ -120,5 +88,7 @@ def hermitian_eigen(a) -> Spectrum:
         raise ValueError("hermitian_eigen requires a Hermitian matrix "
                          f"(defect {defect:.3e} > {HERMITICITY_TOL:.0e})")
     vals, vecs = np.linalg.eigh(m)
-    # eigh sorts ascending; the Spectrum convention is descending
-    return Spectrum(eigenvalues=vals[..., ::-1], eigenvectors=vecs[..., ::-1])
+    # eigh sorts ascending; the Spectrum convention is descending. The
+    # outputs are fresh, so read-only views of them need no copy.
+    return Spectrum(eigenvalues=_readonly(vals[..., ::-1]),
+                    eigenvectors=_readonly(vecs[..., ::-1]))

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .states import Parametrization, QuantumState, _check_angle, _check_sign
+from .states import Parametrization, QuantumState
 
-N_PATHS = 3
 N_TERMS = 9  # 3 same-path + 6 ordered cross-path
 CLASSICAL_BOUND = 7.0
 
@@ -101,27 +100,6 @@ def outcome_distribution(state: QuantumState, theta_a, theta_b) -> np.ndarray:
     local_b = (_directions(theta_b) @ b)[..., None]
     corr = correlators(state, theta_a, theta_b)[..., None]
     return (1.0 + _SIGN_A * local_a + _SIGN_B * local_b + _SIGN_A * _SIGN_B * corr) / 4.0
-
-
-def joint_probability(state: QuantumState, sign_a: int, theta_a: float,
-                      sign_b: int, theta_b: float) -> float:
-    """Probability of outcome pair (sign_a, sign_b) at angles (theta_a, theta_b).
-
-    Born rule: tr(rho [A_sa(ta) (x) A_sb(tb)]).
-    """
-    k = 2 * (_check_sign(sign_a) < 0) + (_check_sign(sign_b) < 0)
-    theta_a, theta_b = _check_angle(theta_a, "theta_a"), _check_angle(theta_b, "theta_b")
-    return float(outcome_distribution(state, theta_a, theta_b)[k])
-
-
-def prob_same(state: QuantumState, theta: float) -> float:
-    """Probability both players output the same direction at a shared angle."""
-    return float(1.0 + correlators(state, theta, theta)) / 2.0
-
-
-def prob_opp(state: QuantumState, theta_i: float, theta_j: float) -> float:
-    """Probability of opposite directions at two different path angles."""
-    return float(1.0 - correlators(state, theta_i, theta_j)) / 2.0
 
 
 def _terms(state: QuantumState, angles) -> tuple[np.ndarray, np.ndarray]:

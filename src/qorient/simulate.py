@@ -16,9 +16,10 @@ import numpy as np
 from .scoring import (
     BetaBreakdown,
     MIXED_BETA,
+    N_TERMS,
     OPP_PAIRS,
     PURE_MAX_BETA,
-    beta_value,
+    beta_grid,
     outcome_distribution,
 )
 from .states import (
@@ -30,9 +31,6 @@ from .states import (
     TwoParam,
     bell_state_density,
 )
-
-# outcome index -> (sign_a, sign_b), matching outcome_distribution order
-OUTCOME_SIGNS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
 
 
 @dataclass(frozen=True)
@@ -75,47 +73,45 @@ def _distribution_table(state: QuantumState, settings: Parametrization) -> np.nd
     return table / table.sum(axis=2, keepdims=True)
 
 
+def _play(state: QuantumState, settings: Parametrization, n: int,
+          rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """Play n rounds: 0-based paths, outcome signs and success flags, one array each.
+
+    One batch of uniform path draws, then inverse-cdf outcome draws
+    against the per-pair joint distributions.
+    """
+    cdf = np.cumsum(_distribution_table(state, settings).reshape(9, 4), axis=1)
+    cdf /= cdf[:, -1:]
+
+    paths_a = rng.integers(0, 3, size=n)
+    paths_b = rng.integers(0, 3, size=n)
+    u = rng.random(n)
+    k = (u[:, None] >= cdf[paths_a * 3 + paths_b]).sum(axis=1)
+
+    sign_a = 1 - 2 * (k >> 1)
+    sign_b = 1 - 2 * (k & 1)
+    success = np.where(paths_a == paths_b, sign_a == sign_b, sign_a != sign_b)
+    return paths_a, paths_b, sign_a, sign_b, success
+
+
 def sample_trial(state: QuantumState, settings: Parametrization,
                  rng: np.random.Generator) -> TrialRecord:
     """Play one round: uniform random paths, Born-rule outcome pair."""
-    angles = settings.settings().as_tuple()
-    path_a = int(rng.integers(1, 4))
-    path_b = int(rng.integers(1, 4))
-    dist = outcome_distribution(state, angles[path_a - 1], angles[path_b - 1])
-    cdf = np.cumsum(np.clip(dist, 0.0, None))
-    cdf /= cdf[-1]
-    k = int(np.searchsorted(cdf, rng.random(), side="right"))
-    sign_a, sign_b = OUTCOME_SIGNS[min(k, 3)]
-    success = (sign_a == sign_b) if path_a == path_b else (sign_a != sign_b)
-    return TrialRecord(path_a=path_a, path_b=path_b,
-                       outcome_a=sign_a, outcome_b=sign_b, success=success)
+    path_a, path_b, sign_a, sign_b, success = (int(x[0]) for x in _play(state, settings, 1, rng))
+    return TrialRecord(path_a=path_a + 1, path_b=path_b + 1,
+                       outcome_a=sign_a, outcome_b=sign_b, success=bool(success))
 
 
 def run_game(state: QuantumState, settings: Parametrization, n_trials: int,
              seed: int) -> GameEstimate:
     """Estimate the success probability over many independent rounds.
 
-    Vectorized: one batch of path draws, then inverse-cdf outcome draws
-    against the per-pair joint distributions. Deterministic for a fixed
-    seed.
+    Deterministic for a fixed seed.
     """
     n_trials = int(n_trials)
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    rng = np.random.default_rng(seed)
-    table = _distribution_table(state, settings)
-    cdf = np.cumsum(table.reshape(9, 4), axis=1)
-    cdf /= cdf[:, -1:]
-
-    paths_a = rng.integers(0, 3, size=n_trials)
-    paths_b = rng.integers(0, 3, size=n_trials)
-    u = rng.random(n_trials)
-    pair = paths_a * 3 + paths_b
-    k = (u[:, None] >= cdf[pair]).sum(axis=1)
-
-    sign_a = 1 - 2 * (k >> 1)
-    sign_b = 1 - 2 * (k & 1)
-    success = np.where(paths_a == paths_b, sign_a == sign_b, sign_a != sign_b)
+    success = _play(state, settings, n_trials, np.random.default_rng(seed))[-1]
     rate = float(success.mean())
     stderr = float(np.sqrt(rate * (1.0 - rate) / n_trials))
     return GameEstimate(success_rate=rate, stderr=stderr, n_trials=n_trials, seed=seed)
@@ -211,11 +207,16 @@ def fit_noise_max_point(beta_max: float) -> NoiseFit:
 
     The model beta(p) = p * beta_pure + (1 - p) * beta_mixed at the
     optimal settings has beta_pure = 7.5 and beta_mixed = 4.5, so
-    p = (beta_max - 4.5) / 3.
+    p = (beta_max - 4.5) / 3, clamped to [0, 1]. A beta_max outside
+    [0, 9] is impossible for any data (beta is a sum of 9 probabilities)
+    and raises ValueError.
     """
     beta_max = float(beta_max)
     if not math.isfinite(beta_max):
         raise ValueError(f"beta_max must be finite, got {beta_max}")
+    if not 0.0 <= beta_max <= N_TERMS:
+        raise ValueError(f"beta_max must lie in [0, {N_TERMS}], since beta is a sum of "
+                         f"{N_TERMS} probabilities; got {beta_max}")
     p = (beta_max - MIXED_BETA) / (PURE_MAX_BETA - MIXED_BETA)
     p_hat = min(1.0, max(0.0, p))
     model = MIXED_BETA + (PURE_MAX_BETA - MIXED_BETA) * p_hat
@@ -243,8 +244,8 @@ def fit_noise(observed, method: str = "curve-fit") -> NoiseFit:
     if method != "curve-fit":
         raise ValueError(f"unknown fit method {method!r}")
 
-    pure = bell_state_density(BellState.PHI_PLUS)
-    pure_betas = np.array([beta_value(pure, _as_settings(x)).beta for x, _ in observed])
+    angles = np.array([_as_settings(x).as_tuple() for x, _ in observed])
+    pure_betas = beta_grid(bell_state_density(BellState.PHI_PLUS), angles)
 
     slope = pure_betas - MIXED_BETA
     if float(np.max(np.abs(slope))) < 1e-9:

@@ -34,6 +34,11 @@ from .states import (
 RADICAND_ERROR_FLOOR = -1e-9  # more negative than this means a transcription bug
 UNIT_NORM_TOL = 1e-10
 
+# sweep_surface refuses larger grids before allocating anything: the
+# largest dataset, eigs with numeric columns as JSON, peaks near 1.9 KiB
+# per point (measured at 181x181 and 256x256), so ~330 MiB at the cap
+MAX_GRID_POINTS = 160_000
+
 SEARCH_GRID_STEP_DEG = 0.5
 SEARCH_REFINE_TOL_RAD = 1e-8
 SEARCH_REFINE_ROUNDS = 3
@@ -51,19 +56,24 @@ class ClosedFormError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ClosedFormSpectrum:
-    """The four eigenvalues in formula order (not sorted)."""
+    """The four eigenvalues in formula order (not sorted).
 
-    lambda1: float
-    lambda2: float
-    lambda3: float
-    lambda4: float
+    Each lambda has the broadcast shape of the family parameters it was
+    evaluated at (0-d at a single point).
+    """
+
+    lambda1: np.ndarray
+    lambda2: np.ndarray
+    lambda3: np.ndarray
+    lambda4: np.ndarray
     parametrization: TwoParam | OneParam
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.lambda1, self.lambda2, self.lambda3, self.lambda4])
+        """The lambdas stacked on a last axis of length 4; shape (4,) at a point."""
+        return np.stack((self.lambda1, self.lambda2, self.lambda3, self.lambda4), axis=-1)
 
     def sorted_descending(self) -> np.ndarray:
-        return np.sort(self.as_array())[::-1]
+        return np.sort(self.as_array(), axis=-1)[..., ::-1]
 
     @property
     def eigenvector_labels(self) -> tuple[str, str, str, str]:
@@ -79,65 +89,49 @@ def _guarded_sqrt(radicand):
     Rounding noise slightly below zero is clamped; anything beyond the
     floor means the formula was transcribed wrong and raises.
     """
-    low = float(np.min(radicand))
+    radicand = np.asarray(radicand)
+    low = float(radicand.min())
     if low < RADICAND_ERROR_FLOOR:
         raise ClosedFormError(f"negative radicand {low:.3e} in the two-parameter "
                               "eigenvalue formulas")
-    return np.sqrt(np.clip(radicand, 0.0, None))
+    return np.sqrt(np.maximum(radicand, 0.0))
 
 
-def _two_param_lambdas(phi, theta):
-    """Evaluate the two-parameter formulas; works on scalars or arrays.
+def closed_form_two_param(phi, theta) -> ClosedFormSpectrum:
+    """Closed-form spectrum for measurement angles (0, 2*phi, 2*theta).
 
-    The radicand under lambda3/lambda4 cancels to zero at degenerate
-    points, and the square root turns summation noise eps into a
-    sqrt(eps) eigenvalue error. Evaluating it in extended precision
-    keeps that error a couple of orders below the 1e-8 scale the
-    numeric cross-checks use.
+    ``phi`` and ``theta`` are floats or numpy arrays that broadcast
+    against each other; each lambda has their broadcast shape. The radicand
+    under lambda3/lambda4 cancels to zero at degenerate points, and the
+    square root turns summation noise eps into a sqrt(eps) eigenvalue
+    error. Evaluating it in extended precision keeps that error a
+    couple of orders below the 1e-8 scale the numeric cross-checks use.
     """
-    l1 = 6.0 - np.cos(2 * theta) - np.cos(2 * (theta - phi)) - np.cos(2 * phi)
-    l2 = 3.0 + np.cos(2 * theta) + np.cos(2 * (theta - phi)) + np.cos(2 * phi)
+    c1, c2, c3 = np.cos(2 * theta), np.cos(2 * (theta - phi)), np.cos(2 * phi)
+    l1 = 6.0 - c1 - c2 - c3
+    l2 = 3.0 + c1 + c2 + c3
     phi_l = np.asarray(phi, dtype=np.longdouble)
     theta_l = np.asarray(theta, dtype=np.longdouble)
     radicand = (15.0 + 2 * np.cos(4 * theta_l) - 4 * np.cos(2 * (theta_l - 2 * phi_l))
                 - 4 * np.cos(2 * (2 * theta_l - phi_l)) + 2 * np.cos(4 * (theta_l - phi_l))
                 + 2 * np.cos(4 * phi_l) - 4 * np.cos(2 * (theta_l + phi_l)))
     root = _guarded_sqrt(radicand)
-    l3 = 0.5 * (9.0 - root)
-    l4 = 0.5 * (9.0 + root)
-    if np.ndim(l3):
-        return (np.asarray(l1, dtype=float), np.asarray(l2, dtype=float),
-                l3.astype(float), l4.astype(float))
-    return float(l1), float(l2), float(l3), float(l4)
+    l3 = (0.5 * (9.0 - root)).astype(float)
+    l4 = (0.5 * (9.0 + root)).astype(float)
+    return ClosedFormSpectrum(l1, l2, l3, l4, TwoParam(phi, theta))
 
 
-def _one_param_lambdas(theta):
-    """Evaluate the one-parameter formulas; works on scalars or arrays."""
-    c2 = np.cos(2 * theta)
-    c4 = np.cos(4 * theta)
-    l1 = 6.0 - 2 * c2 - c4
-    l2 = 5.0 + 2 * c2 - c4
-    l3 = 4.0 - 2 * c2 + c4
-    l4 = 3.0 + 2 * c2 + c4
-    return l1, l2, l3, l4
-
-
-def closed_form_two_param(phi: float, theta: float) -> ClosedFormSpectrum:
-    """Closed-form spectrum for measurement angles (0, 2*phi, 2*theta)."""
-    l1, l2, l3, l4 = _two_param_lambdas(float(phi), float(theta))
-    return ClosedFormSpectrum(float(l1), float(l2), float(l3), float(l4),
-                              TwoParam(float(phi), float(theta)))
-
-
-def closed_form_one_param(theta: float) -> ClosedFormSpectrum:
+def closed_form_one_param(theta) -> ClosedFormSpectrum:
     """Closed-form spectrum for measurement angles (0, 2*theta, -2*theta).
 
+    ``theta`` is a float or a numpy array, and each lambda has its shape.
     Here every eigenvalue belongs to a fixed Bell state, see
     ``ClosedFormSpectrum.eigenvector_labels``.
     """
-    l1, l2, l3, l4 = _one_param_lambdas(float(theta))
-    return ClosedFormSpectrum(float(l1), float(l2), float(l3), float(l4),
-                              OneParam(float(theta)))
+    c2 = np.cos(2 * theta)
+    c4 = np.cos(4 * theta)
+    return ClosedFormSpectrum(6.0 - 2 * c2 - c4, 5.0 + 2 * c2 - c4, 4.0 - 2 * c2 + c4,
+                              3.0 + 2 * c2 + c4, OneParam(theta))
 
 
 def numeric_spectrum(settings: Parametrization) -> linalg.Spectrum:
@@ -212,6 +206,15 @@ def _golden_section_min(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
+def _family(family) -> tuple:
+    """The closed form and the dataset parameter columns of a family class."""
+    if family is TwoParam:
+        return closed_form_two_param, ("phi_deg", "theta_deg")
+    if family is OneParam:
+        return closed_form_one_param, ("theta_deg",)
+    raise ValueError("family must be the TwoParam or OneParam class")
+
+
 def find_optimum(family, objective: str = "max") -> Optimum:
     """Search a measurement family for the extremal eigenvalue.
 
@@ -224,28 +227,19 @@ def find_optimum(family, objective: str = "max") -> Optimum:
     """
     if objective not in ("max", "min"):
         raise ValueError(f"objective must be 'max' or 'min', got {objective!r}")
-    if family not in (TwoParam, OneParam):
-        raise ValueError("family must be the TwoParam or OneParam class")
-
-    n_params = 2 if family is TwoParam else 1
+    closed_form, lead = _family(family)
+    pick = np.maximum if objective == "max" else np.minimum
     sign = -1.0 if objective == "max" else 1.0
 
     def extremal(*params):
-        lams = (_two_param_lambdas(*params) if family is TwoParam
-                else _one_param_lambdas(*params))
-        stack = np.stack(np.broadcast_arrays(*lams))
-        return stack.max(axis=0) if objective == "max" else stack.min(axis=0)
+        cf = closed_form(*params)
+        return pick(pick(cf.lambda1, cf.lambda2), pick(cf.lambda3, cf.lambda4))
 
     steps = int(round(180.0 / SEARCH_GRID_STEP_DEG)) + 1
     axis_deg = np.linspace(-90.0, 90.0, steps)
-    axis = np.radians(axis_deg)
-    if n_params == 2:
-        grids = np.meshgrid(axis, axis, indexing="ij")
-    else:
-        grids = (axis,)
-    values = extremal(*grids)
+    values = extremal(*np.meshgrid(*[np.radians(axis_deg)] * len(lead), indexing="ij"))
 
-    best = values.max() if objective == "max" else values.min()
+    best = pick.reduce(values, axis=None)
     tie = np.argwhere(np.abs(values - best) <= 1e-9)
     candidates_deg = tuple(tuple(float(axis_deg[k]) for k in idx) for idx in tie)
     canonical = min(candidates_deg, key=lambda c: (sum(abs(x) for x in c), c))
@@ -253,7 +247,7 @@ def find_optimum(family, objective: str = "max") -> Optimum:
     params = [math.radians(x) for x in canonical]
     half = math.radians(SEARCH_GRID_STEP_DEG)
     for _ in range(SEARCH_REFINE_ROUNDS):
-        for k in range(n_params):
+        for k in range(len(lead)):
             def along(x, k=k):
                 probe = list(params)
                 probe[k] = x
@@ -261,7 +255,7 @@ def find_optimum(family, objective: str = "max") -> Optimum:
             params[k] = _golden_section_min(along, params[k] - half, params[k] + half,
                                             SEARCH_REFINE_TOL_RAD)
 
-    point = TwoParam(*params) if family is TwoParam else OneParam(*params)
+    point = family(*params)
     settings = point.settings()
     beta = float(extremal(*params))
     spec = numeric_spectrum(settings)
@@ -282,10 +276,15 @@ class SweepDataset:
         return [row[k] for row in self.rows]
 
 
-def _family_axis(grid_resolution: int) -> np.ndarray:
+def _family_axis(grid_resolution: int, n_params: int) -> np.ndarray:
+    """The per-parameter axis in degrees, once the grid is known to fit the cap."""
+    grid_resolution = int(grid_resolution)
     if grid_resolution < 2:
         raise ValueError(f"grid resolution must be >= 2, got {grid_resolution}")
-    return np.linspace(-90.0, 90.0, int(grid_resolution))
+    if grid_resolution ** n_params > MAX_GRID_POINTS:
+        raise ValueError(f"grid resolution {grid_resolution} gives {grid_resolution ** n_params} "
+                         f"grid points, above the cap of {MAX_GRID_POINTS}")
+    return np.linspace(-90.0, 90.0, grid_resolution)
 
 
 def sweep_surface(family, grid_resolution: int, state: QuantumState | None = None,
@@ -298,17 +297,13 @@ def sweep_surface(family, grid_resolution: int, state: QuantumState | None = Non
     eigenvalues in descending order for cross-validation. Angles in the
     dataset are degrees. The whole grid is evaluated at once: one
     closed-form call, one correlator contraction or one batched
-    eigensolve, never a call per point.
+    eigensolve, never a call per point. A grid of fewer than 2 points
+    per axis or more than MAX_GRID_POINTS points in all raises
+    ValueError.
     """
-    axis_deg = _family_axis(grid_resolution)
-    if family is TwoParam:
-        lead = ("phi_deg", "theta_deg")
-        params_deg = [m.ravel() for m in np.meshgrid(axis_deg, axis_deg, indexing="ij")]
-    elif family is OneParam:
-        lead = ("theta_deg",)
-        params_deg = [axis_deg]
-    else:
-        raise ValueError("family must be the TwoParam or OneParam class")
+    closed_form, lead = _family(family)
+    axis_deg = _family_axis(grid_resolution, len(lead))
+    params_deg = [m.ravel() for m in np.meshgrid(*[axis_deg] * len(lead), indexing="ij")]
     params = [np.radians(p) for p in params_deg]
     angles = family.angles(*params)
 
@@ -317,8 +312,8 @@ def sweep_surface(family, grid_resolution: int, state: QuantumState | None = Non
         return SweepDataset(columns=columns, rows=_rows(params_deg + [beta_grid(state, angles)]))
 
     columns = lead + ("lambda1", "lambda2", "lambda3", "lambda4")
-    lambdas = (_two_param_lambdas if family is TwoParam else _one_param_lambdas)(*params)
-    values = params_deg + list(lambdas)
+    cf = closed_form(*params)
+    values = params_deg + [cf.lambda1, cf.lambda2, cf.lambda3, cf.lambda4]
     if family is OneParam:
         columns += ("state1", "state2", "state3", "state4")
         values += [np.full(len(angles), s.value) for s in ONE_PARAM_EIGENVECTORS]

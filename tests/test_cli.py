@@ -2,11 +2,14 @@
 
 import csv
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qorient.cli import main, parse_state
+from qorient.spectra import MAX_GRID_POINTS
 from qorient.states import BellState, bell_state_density, noisy_phi_plus
 
 
@@ -189,6 +192,7 @@ class TestFit:
         assert abs(float(rows[0][header.index("p_hat")]) - 0.97) < 1e-12
         summary = capsys.readouterr().out
         assert "compare" in summary  # points at the curve-fit alternative
+        assert "clamped" not in summary
 
     def test_curve_fit_from_sweep_file(self, tmp_path):
         sweep = tmp_path / "sweep.csv"
@@ -235,6 +239,35 @@ class TestFit:
     def test_rejects_non_finite_beta_max(self, capsys, value):
         assert run(["fit", f"--beta-max={value}"]) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, code, message", [
+        ("99", 2, "error: beta_max must lie in [0, 9]"),  # beta sums 9 probabilities
+        ("-1", 2, "error: beta_max must lie in [0, 9]"),
+        ("7.6", 0, "max-point: p = 1.000000 (residual 0.1); clamped, since beta_max 7.6"),
+    ])
+    def test_impossible_beta_max_refused_and_clamping_said(self, capsys, value, code, message):
+        assert run(["fit", f"--beta-max={value}"]) == code
+        assert message in capsys.readouterr().err.split("\n")[0]
+
+
+class TestGridBounds:
+    @pytest.mark.parametrize("command, grid, message", [
+        (["eigs"], 1, ">= 2"), (["beta-surface"], 0, ">= 2"), (["sweep-1d"], -3, ">= 2"),
+        (["eigs"], math.isqrt(MAX_GRID_POINTS) + 1, "cap"),
+        (["beta-surface"], math.isqrt(MAX_GRID_POINTS) + 1, "cap"),
+        (["eigs", "--one-param"], MAX_GRID_POINTS + 1, "cap"),
+        (["sweep-1d"], MAX_GRID_POINTS + 1, "cap"),
+    ])
+    def test_rejects_grid_before_allocating(self, capsys, command, grid, message):
+        tracemalloc.start()
+        try:
+            code = run(command + [f"--grid={grid}"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err.strip().split("\n")
+        assert code == 2 and len(err) == 1 and err[0].startswith("error:") and message in err[0]
+        assert peak < 2**20  # not even the parameter axis was built
 
 
 class TestErrorPaths:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from qorient import linalg
 from qorient.linalg import (
     IDENTITY_2,
     IDENTITY_4,
@@ -11,9 +10,6 @@ from qorient.linalg import (
     PAULI_Y,
     PAULI_Z,
     hermitian_eigen,
-    kron,
-    matmul,
-    trace,
 )
 
 
@@ -22,81 +18,21 @@ def random_hermitian(rng, n):
     return h + h.conj().T
 
 
-class TestMatmul:
-    def test_identity(self):
-        assert np.array_equal(matmul(IDENTITY_2, PAULI_X), PAULI_X)
-
+class TestPauliMatrices:
     def test_pauli_involution(self):
-        assert np.allclose(matmul(PAULI_X, PAULI_X), IDENTITY_2, atol=0)
+        assert np.allclose(PAULI_X @ PAULI_X, IDENTITY_2, atol=0)
 
     def test_x_times_z(self):
         # hand expansion: [[0,1],[1,0]] @ [[1,0],[0,-1]] = [[0,-1],[1,0]] = -i*sigma_y
-        assert np.allclose(matmul(PAULI_X, PAULI_Z), -1j * PAULI_Y, atol=0)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            matmul(IDENTITY_2, IDENTITY_4)
-
-    def test_unsupported_dimension_rejected(self):
-        with pytest.raises(ValueError, match="unsupported dimension"):
-            matmul(np.eye(3), np.eye(3))
-
-    def test_non_finite_rejected(self):
-        bad = np.array([[np.nan, 0], [0, 1]], dtype=complex)
-        with pytest.raises(ValueError, match="finite"):
-            matmul(bad, IDENTITY_2)
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(IDENTITY_2, IDENTITY_2), IDENTITY_4)
-
-    def test_projector_product(self):
-        up = np.diag([1.0, 0.0]).astype(complex)
-        assert np.array_equal(kron(up, up), np.diag([1, 0, 0, 0]).astype(complex))
-
-    def test_z_tensor_z(self):
-        # direct 4x4 expansion
-        assert np.array_equal(kron(PAULI_Z, PAULI_Z), np.diag([1, -1, -1, 1]).astype(complex))
-
-    def test_block_order_matches_numpy(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            assert np.array_equal(kron(a, b), np.kron(a, b))
-
-    def test_bilinear(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-            assert np.allclose(kron(a + b, c), kron(a, c) + kron(b, c), atol=1e-12)
-            assert np.allclose(kron(c, a + b), kron(c, a) + kron(c, b), atol=1e-12)
-
-    def test_only_dim2_accepted(self):
-        with pytest.raises(ValueError):
-            kron(IDENTITY_4, IDENTITY_2)
-
-
-class TestTrace:
-    def test_identity(self):
-        assert trace(IDENTITY_4) == 4
-
-    def test_pauli_traceless(self):
-        assert trace(PAULI_X) == 0
-
-    def test_multiplicative_over_kron(self):
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            assert abs(trace(kron(a, b)) - trace(a) * trace(b)) < 1e-12
+        assert np.allclose(PAULI_X @ PAULI_Z, -1j * PAULI_Y, atol=0)
 
 
 class TestHermitianEigen:
     def test_identity(self):
         spec = hermitian_eigen(IDENTITY_4)
         assert np.allclose(spec.eigenvalues, [1, 1, 1, 1], atol=0)
+        assert not spec.eigenvalues.flags.writeable
+        assert not spec.eigenvectors.flags.writeable
 
     def test_pauli_z(self):
         spec = hermitian_eigen(PAULI_Z)
@@ -105,6 +41,15 @@ class TestHermitianEigen:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_eigen(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_unsupported_dimension_rejected(self):
+        with pytest.raises(ValueError, match="unsupported dimension"):
+            hermitian_eigen(np.eye(3))
+
+    def test_non_finite_rejected(self):
+        bad = np.array([[np.nan, 0], [0, 1]], dtype=complex)
+        with pytest.raises(ValueError, match="finite"):
+            hermitian_eigen(bad)
 
     def test_stack_matches_single_calls(self):
         rng = np.random.default_rng(4)
@@ -141,7 +86,7 @@ class TestHermitianEigen:
         for _ in range(200):
             h = random_hermitian(rng, n)
             spec = hermitian_eigen(h)
-            assert abs(spec.eigenvalues.sum() - trace(h).real) < 1e-9
+            assert abs(spec.eigenvalues.sum() - np.trace(h).real) < 1e-9
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_orthonormal_eigenvectors(self, n):

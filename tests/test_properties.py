@@ -3,7 +3,8 @@
 The game operator is checked against its definition, the sum of 18
 Kronecker products of spin projectors built here with ``np.kron``;
 every score, distribution and sweep row is checked against that
-operator or against the single-point functions.
+operator or against the single-point functions. Random mixtures of the
+64 deterministic strategies check the classical bound.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qorient import (
+    CLASSICAL_BOUND,
     OPP_PAIRS,
     OneParam,
     QuantumState,
@@ -22,6 +24,7 @@ from qorient import (
     beta_value,
     closed_form_one_param,
     closed_form_two_param,
+    enumerate_all,
     expected_counts,
     game_operator,
     numeric_spectrum,
@@ -32,6 +35,8 @@ from qorient.simulate import _distribution_table
 TOL = 1e-12
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+CLASSICAL_SCORES = np.array([score for _, score in enumerate_all()], dtype=float)
 
 angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
 triples = st.builds(SettingTriple, angles, angles, angles)
@@ -120,3 +125,18 @@ def test_sweep_rows_match_single_point_calls(state, grid):
             if family is TwoParam:
                 assert row[-4:] == pytest.approx(
                     numeric_spectrum(family(*params)).eigenvalues, abs=TOL)
+
+
+@settings(deadline=None)
+@given(arrays(np.float64, 64, elements=st.floats(0, 1)), st.booleans())
+def test_classical_mixture_score_at_most_seven(weights, maximizers_only):
+    is_max = CLASSICAL_SCORES == CLASSICAL_BOUND
+    if maximizers_only:
+        weights = np.where(is_max, weights, 0.0)
+    assume(weights.sum() > 1e-6)
+    w = weights / weights.sum()
+    score = w @ CLASSICAL_SCORES
+    # other strategies score integers below 7: weight off the maximizers costs >= 1 per unit
+    assert score <= CLASSICAL_BOUND - w[~is_max].sum() + TOL
+    if maximizers_only:
+        assert abs(score - CLASSICAL_BOUND) <= TOL

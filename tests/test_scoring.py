@@ -1,4 +1,4 @@
-"""Joint probabilities, the score functional and the game operator."""
+"""Joint probabilities, correlators, the score functional and the game operator."""
 
 import numpy as np
 import pytest
@@ -12,19 +12,19 @@ from qorient import (
     SettingTriple,
     bell_state_density,
     beta_value,
+    correlators,
     game_operator,
     hermitian_eigen,
-    joint_probability,
     maximally_mixed,
     noisy_phi_plus,
     outcome_distribution,
-    prob_opp,
-    prob_same,
 )
 
 PHI_PLUS = bell_state_density(BellState.PHI_PLUS)
 PSI_MINUS = bell_state_density(BellState.PSI_MINUS)
 MIXED = maximally_mixed()
+# outcome_distribution's last axis, order (++, +-, -+, --)
+OUTCOME_INDEX = {(+1, +1): 0, (+1, -1): 1, (-1, +1): 2, (-1, -1): 3}
 
 
 def random_settings(rng) -> SettingTriple:
@@ -40,26 +40,26 @@ def random_bell_mixture(rng) -> QuantumState:
 class TestJointProbability:
     def test_phi_plus_aligned(self):
         # (1/2) cos^2(0/2), cross-checked by the trace formula it implements
-        assert abs(joint_probability(PHI_PLUS, +1, 0.0, +1, 0.0) - 0.5) < 1e-12
+        assert abs(outcome_distribution(PHI_PLUS, 0.0, 0.0)[0] - 0.5) < 1e-12
 
     def test_mixed_state_uniform(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             sa, sb = rng.choice([+1, -1], size=2)
             ta, tb = rng.uniform(-np.pi, np.pi, size=2)
-            assert abs(joint_probability(MIXED, sa, ta, sb, tb) - 0.25) < 1e-12
+            p = outcome_distribution(MIXED, ta, tb)[OUTCOME_INDEX[sa, sb]]
+            assert abs(p - 0.25) < 1e-12
 
     def test_phi_plus_at_120_degrees(self):
         # (1/2) cos^2(60 deg) = 1/8
-        got = joint_probability(PHI_PLUS, +1, 0.0, +1, 2 * np.pi / 3)
+        got = outcome_distribution(PHI_PLUS, 0.0, 2 * np.pi / 3)[0]
         assert abs(got - 0.125) < 1e-12
 
     def test_phi_plus_halved_angle_rule(self):
         rng = np.random.default_rng(1)
-        for _ in range(100):
-            ta, tb = rng.uniform(-np.pi, np.pi, size=2)
-            expected = 0.5 * np.cos((ta - tb) / 2) ** 2
-            assert abs(joint_probability(PHI_PLUS, +1, ta, +1, tb) - expected) < 1e-12
+        ta, tb = rng.uniform(-np.pi, np.pi, size=(100, 2)).T
+        expected = 0.5 * np.cos((ta - tb) / 2) ** 2
+        assert np.abs(outcome_distribution(PHI_PLUS, ta, tb)[:, 0] - expected).max() < 1e-12
 
     def test_outcomes_sum_to_one(self):
         rng = np.random.default_rng(2)
@@ -74,24 +74,28 @@ class TestJointProbability:
             state = random_bell_mixture(rng)
             sa, sb = rng.choice([+1, -1], size=2)
             ta, tb = rng.uniform(-np.pi, np.pi, size=2)
-            p = joint_probability(state, sa, ta, sb, tb)
+            p = outcome_distribution(state, ta, tb)[OUTCOME_INDEX[sa, sb]]
             assert -1e-9 <= p <= 1 + 1e-9
 
 
 class TestSameOpposite:
+    """p_same = (1 + E(t, t)) / 2 and p_opp = (1 - E(t_i, t_j)) / 2."""
+
     def test_phi_plus_always_agrees_on_equal_settings(self):
         rng = np.random.default_rng(4)
-        for theta in rng.uniform(-np.pi, np.pi, size=100):
-            assert abs(prob_same(PHI_PLUS, theta) - 1.0) < 1e-12
+        theta = rng.uniform(-np.pi, np.pi, size=100)
+        p_same = (1.0 + correlators(PHI_PLUS, theta, theta)) / 2.0
+        assert np.abs(p_same - 1.0).max() < 1e-12
 
     def test_phi_plus_opp_at_120(self):
         # sin^2(60 deg) = 3/4
-        assert abs(prob_opp(PHI_PLUS, 0.0, 2 * np.pi / 3) - 0.75) < 1e-12
+        assert abs((1.0 - correlators(PHI_PLUS, 0.0, 2 * np.pi / 3)) / 2.0 - 0.75) < 1e-12
 
     def test_mixed_state_coin_flip(self):
         rng = np.random.default_rng(5)
-        for theta in rng.uniform(-np.pi, np.pi, size=50):
-            assert abs(prob_same(MIXED, theta) - 0.5) < 1e-12
+        theta = rng.uniform(-np.pi, np.pi, size=50)
+        p_same = (1.0 + correlators(MIXED, theta, theta)) / 2.0
+        assert np.abs(p_same - 0.5).max() < 1e-12
 
 
 class TestGameOperator:

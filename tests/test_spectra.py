@@ -1,5 +1,7 @@
 """Closed-form spectra, Bell decomposition, optimum search and sweeps."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from qorient import (
     numeric_spectrum,
     sweep_surface,
 )
-from qorient.spectra import _guarded_sqrt
+from qorient.spectra import MAX_GRID_POINTS, _family_axis, _guarded_sqrt
 
 DEG = np.pi / 180.0
 
@@ -50,6 +52,16 @@ class TestClosedFormTwoParam:
             assert abs(cf.lambda1 + cf.lambda2 - 9.0) < 1e-12
             assert abs(cf.lambda3 + cf.lambda4 - 9.0) < 1e-12
             assert abs(cf.as_array().sum() - 18.0) < 1e-12
+
+    def test_array_inputs_broadcast_and_match_point_calls(self):
+        rng = np.random.default_rng(7)
+        phi, theta = rng.uniform(-np.pi, np.pi, size=(3, 1)), rng.uniform(-np.pi, np.pi, size=5)
+        two = closed_form_two_param(phi, theta).as_array()
+        one = closed_form_one_param(phi).as_array()
+        assert two.shape == (3, 5, 4) and one.shape == (3, 1, 4)
+        for i, j in np.ndindex(3, 5):
+            assert np.array_equal(two[i, j], closed_form_two_param(phi[i, 0], theta[j]).as_array())
+            assert np.array_equal(one[i, 0], closed_form_one_param(phi[i, 0]).as_array())
 
     def test_radicand_guard(self):
         assert _guarded_sqrt(4.0) == 2.0
@@ -247,6 +259,9 @@ class TestSweepSurface:
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError, match=">= 2"):
             sweep_surface(TwoParam, 1)
+        # the cap counts points, so it allows MAX_GRID_POINTS**(1/2) per axis in 2-D
+        assert len(_family_axis(400, 2)) == 400 == math.isqrt(MAX_GRID_POINTS)
+        assert len(_family_axis(MAX_GRID_POINTS, 1)) == MAX_GRID_POINTS
 
     def test_one_param_beta_sweep_min(self):
         state = bell_state_density(BellState.PSI_MINUS)
