@@ -55,7 +55,6 @@ from .simulate import (
 )
 from .spectra import (
     BellDecomposition,
-    ClosedFormError,
     ClosedFormSpectrum,
     Optimum,
     SweepDataset,
@@ -94,7 +93,6 @@ __all__ = [
     "BellState",
     "BetaBreakdown",
     "CLASSICAL_BOUND",
-    "ClosedFormError",
     "ClosedFormSpectrum",
     "CountTable",
     "DeterministicStrategy",

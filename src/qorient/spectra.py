@@ -5,11 +5,13 @@ eigenvalue problem: over all states, beta at fixed settings ranges
 exactly over [lambda_min, lambda_max] of the game operator. For the two
 measurement families used throughout (angles (0, 2*phi, 2*theta) and
 (0, 2*theta, -2*theta)) the full spectrum has closed trigonometric
-forms, implemented here verbatim and cross-checked against the numeric
-eigensolver (LAPACK through numpy); both take whole angle grids, so a
-sweep evaluates its grid in one call. Eigenvectors are classified by
-their content in the Bell basis rather than by index, which stays
-meaningful under degeneracies.
+forms, cross-checked against the numeric eigensolver (LAPACK through
+numpy). The square root in the two-parameter middle pair is taken as
+the modulus of one complex number whose square is exactly the paper's
+radicand, so plain float64 stays accurate at the degeneracies. Both
+forms take whole angle grids, so a sweep evaluates its grid in one
+call. Eigenvectors are classified by their content in the Bell basis
+rather than by index, which stays meaningful under degeneracies.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .states import (
     TwoParam,
 )
 
-RADICAND_ERROR_FLOOR = -1e-9  # more negative than this means a transcription bug
 UNIT_NORM_TOL = 1e-10
 
 # sweep_surface refuses larger grids before allocating anything: the
@@ -48,10 +49,6 @@ ONE_PARAM_EIGENVECTORS = (BellState.PHI_PLUS, BellState.PSI_PLUS,
                           BellState.PHI_MINUS, BellState.PSI_MINUS)
 
 _TWO_PARAM_LABELS = ("phi+", "psi-", "span{psi+,phi-}", "span{psi+,phi-}")
-
-
-class ClosedFormError(ArithmeticError):
-    """The closed-form radicand went negative beyond rounding noise."""
 
 
 @dataclass(frozen=True)
@@ -83,51 +80,50 @@ class ClosedFormSpectrum:
         return _TWO_PARAM_LABELS
 
 
-def _guarded_sqrt(radicand):
-    """sqrt of a mathematically non-negative radicand.
-
-    Rounding noise slightly below zero is clamped; anything beyond the
-    floor means the formula was transcribed wrong and raises.
-    """
-    radicand = np.asarray(radicand)
-    low = float(radicand.min())
-    if low < RADICAND_ERROR_FLOOR:
-        raise ClosedFormError(f"negative radicand {low:.3e} in the two-parameter "
-                              "eigenvalue formulas")
-    return np.sqrt(np.maximum(radicand, 0.0))
+def _require_finite(value, name: str) -> None:
+    """Refuse a family parameter (float or array) holding nan or inf."""
+    if not np.isfinite(value).all():
+        bad = np.asarray(value)[~np.isfinite(value)].flat[0]
+        raise ValueError(f"{name} must be finite, got {bad}")
 
 
 def closed_form_two_param(phi, theta) -> ClosedFormSpectrum:
     """Closed-form spectrum for measurement angles (0, 2*phi, 2*theta).
 
-    ``phi`` and ``theta`` are floats or numpy arrays that broadcast
-    against each other; each lambda has their broadcast shape. The radicand
-    under lambda3/lambda4 cancels to zero at degenerate points, and the
-    square root turns summation noise eps into a sqrt(eps) eigenvalue
-    error. Evaluating it in extended precision keeps that error a
-    couple of orders below the 1e-8 scale the numeric cross-checks use.
+    ``phi`` and ``theta`` are finite floats or numpy arrays that
+    broadcast against each other; each lambda has their broadcast shape,
+    and a nan or inf parameter raises ValueError. lambda3/lambda4 are
+    (9 -/+ sqrt(R))/2, where the paper's radicand
+
+        R = 15 + 2cos4t - 4cos2(t-2p) - 4cos2(2t-p) + 2cos4(t-p)
+            + 2cos4p - 4cos2(t+p)
+
+    equals |4uv - (u+v-1)^2|^2 with u = exp(2ip), v = exp(2it). Taking
+    sqrt(R) as that modulus leaves no square root of a cancelling sum:
+    near the degenerate points, where R -> 0, the seven-cosine sum loses
+    its digits and its square root turns a rounding error eps into
+    sqrt(eps), while the modulus keeps an absolute error of a few eps.
+    So float64 is enough.
     """
+    _require_finite(phi, "phi")
+    _require_finite(theta, "theta")
     c1, c2, c3 = np.cos(2 * theta), np.cos(2 * (theta - phi)), np.cos(2 * phi)
     l1 = 6.0 - c1 - c2 - c3
     l2 = 3.0 + c1 + c2 + c3
-    phi_l = np.asarray(phi, dtype=np.longdouble)
-    theta_l = np.asarray(theta, dtype=np.longdouble)
-    radicand = (15.0 + 2 * np.cos(4 * theta_l) - 4 * np.cos(2 * (theta_l - 2 * phi_l))
-                - 4 * np.cos(2 * (2 * theta_l - phi_l)) + 2 * np.cos(4 * (theta_l - phi_l))
-                + 2 * np.cos(4 * phi_l) - 4 * np.cos(2 * (theta_l + phi_l)))
-    root = _guarded_sqrt(radicand)
-    l3 = (0.5 * (9.0 - root)).astype(float)
-    l4 = (0.5 * (9.0 + root)).astype(float)
-    return ClosedFormSpectrum(l1, l2, l3, l4, TwoParam(phi, theta))
+    u, v = np.exp(2j * phi), np.exp(2j * theta)
+    root = np.abs(4 * u * v - (u + v - 1) ** 2)
+    return ClosedFormSpectrum(l1, l2, 0.5 * (9.0 - root), 0.5 * (9.0 + root),
+                              TwoParam(phi, theta))
 
 
 def closed_form_one_param(theta) -> ClosedFormSpectrum:
     """Closed-form spectrum for measurement angles (0, 2*theta, -2*theta).
 
-    ``theta`` is a float or a numpy array, and each lambda has its shape.
-    Here every eigenvalue belongs to a fixed Bell state, see
-    ``ClosedFormSpectrum.eigenvector_labels``.
+    ``theta`` is a finite float or a numpy array, and each lambda has its
+    shape; a nan or inf raises ValueError. Here every eigenvalue belongs
+    to a fixed Bell state, see ``ClosedFormSpectrum.eigenvector_labels``.
     """
+    _require_finite(theta, "theta")
     c2 = np.cos(2 * theta)
     c4 = np.cos(4 * theta)
     return ClosedFormSpectrum(6.0 - 2 * c2 - c4, 5.0 + 2 * c2 - c4, 4.0 - 2 * c2 + c4,
@@ -237,7 +233,9 @@ def find_optimum(family, objective: str = "max") -> Optimum:
 
     steps = int(round(180.0 / SEARCH_GRID_STEP_DEG)) + 1
     axis_deg = np.linspace(-90.0, 90.0, steps)
-    values = extremal(*np.meshgrid(*[np.radians(axis_deg)] * len(lead), indexing="ij"))
+    # open axes: each per-axis cosine is taken on the axis, not on the grid
+    values = extremal(*np.meshgrid(*[np.radians(axis_deg)] * len(lead), indexing="ij",
+                                   sparse=True))
 
     best = pick.reduce(values, axis=None)
     tie = np.argwhere(np.abs(values - best) <= 1e-9)

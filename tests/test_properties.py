@@ -3,8 +3,11 @@
 The game operator is checked against its definition, the sum of 18
 Kronecker products of spin projectors built here with ``np.kron``;
 every score, distribution and sweep row is checked against that
-operator or against the single-point functions. Random mixtures of the
-64 deterministic strategies check the classical bound.
+operator or against the single-point functions; the two-parameter
+closed form is checked against that operator's spectrum right next to
+its degenerate points, and its modulus form against the paper's
+seven-cosine radicand. Random mixtures of the 64 deterministic
+strategies check the classical bound.
 """
 
 import numpy as np
@@ -107,6 +110,30 @@ def test_distribution_rows_are_probabilities(state, triple):
 def test_expected_counts_reproduce_beta(state, triple, n_per_pair):
     recon = beta_from_counts(expected_counts(state, triple, n_per_pair))
     assert abs(recon.beta - beta_value(state, triple).beta) <= TOL
+
+
+# the only points of [-90, 90]^2 degrees where lambda3 == lambda4
+DEGENERATE_POINTS = ((np.pi / 3, -np.pi / 3), (-np.pi / 3, np.pi / 3))
+
+
+@settings(deadline=None)
+@given(st.sampled_from(DEGENERATE_POINTS), st.floats(-10, -3), st.floats(0, 2 * np.pi))
+def test_two_param_closed_form_exact_near_degeneracy(centre, log10_distance, direction):
+    distance = 10.0 ** log10_distance
+    phi = centre[0] + distance * np.cos(direction)
+    theta = centre[1] + distance * np.sin(direction)
+    closed = np.sort(closed_form_two_param(phi, theta).as_array())
+    reference = np.linalg.eigvalsh(reference_operator(TwoParam(phi, theta).settings()))
+    assert np.abs(closed - reference).max() <= TOL
+
+
+@settings(deadline=None)
+@given(angles, angles)
+def test_modulus_equals_seven_cosine_radicand(p, t):
+    u, v = np.exp(2j * p), np.exp(2j * t)
+    radicand = (15 + 2 * np.cos(4 * t) - 4 * np.cos(2 * (t - 2 * p)) - 4 * np.cos(2 * (2 * t - p))
+                + 2 * np.cos(4 * (t - p)) + 2 * np.cos(4 * p) - 4 * np.cos(2 * (t + p)))
+    assert abs(abs(4 * u * v - (u + v - 1) ** 2) ** 2 - radicand) <= TOL
 
 
 @settings(deadline=None, max_examples=25)

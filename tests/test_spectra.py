@@ -7,7 +7,6 @@ import pytest
 
 from qorient import (
     BellState,
-    ClosedFormError,
     OneParam,
     SettingTriple,
     TwoParam,
@@ -21,7 +20,7 @@ from qorient import (
     numeric_spectrum,
     sweep_surface,
 )
-from qorient.spectra import MAX_GRID_POINTS, _family_axis, _guarded_sqrt
+from qorient.spectra import MAX_GRID_POINTS, _family_axis
 
 DEG = np.pi / 180.0
 
@@ -33,7 +32,7 @@ class TestClosedFormTwoParam:
         assert abs(cf.lambda2 - 1.5) < 1e-9
 
     def test_degenerate_pair_at_optimum(self):
-        # the radicand vanishes here, so both middle eigenvalues sit at 4.5
+        # |4uv - (u+v-1)^2| vanishes here, so both middle eigenvalues sit at 4.5
         cf = closed_form_two_param(60 * DEG, -60 * DEG)
         assert abs(cf.lambda3 - 4.5) < 1e-9
         assert abs(cf.lambda4 - 4.5) < 1e-9
@@ -63,11 +62,14 @@ class TestClosedFormTwoParam:
             assert np.array_equal(two[i, j], closed_form_two_param(phi[i, 0], theta[j]).as_array())
             assert np.array_equal(one[i, 0], closed_form_one_param(phi[i, 0]).as_array())
 
-    def test_radicand_guard(self):
-        assert _guarded_sqrt(4.0) == 2.0
-        assert _guarded_sqrt(-1e-12) == 0.0  # rounding noise clamps to zero
-        with pytest.raises(ClosedFormError, match="radicand"):
-            _guarded_sqrt(-1e-6)
+    @pytest.mark.parametrize("phi, theta, bad", [
+        (math.nan, 0.1, "phi"), (0.1, math.inf, "theta"), (-math.inf, 0.1, "phi"),
+        (np.array([0.1, math.nan, 0.3]), 0.2, "phi"),
+        (np.zeros((2, 1)), np.array([0.0, -0.4, math.nan]), "theta"),
+    ])
+    def test_non_finite_parameter_refused(self, phi, theta, bad):
+        with pytest.raises(ValueError, match=f"{bad} must be finite"):
+            closed_form_two_param(phi, theta)
 
     def test_matches_numeric_on_random_points(self):
         rng = np.random.default_rng(1)
@@ -111,6 +113,12 @@ class TestClosedFormOneParam:
             cf = closed_form_one_param(theta)
             num = numeric_spectrum(OneParam(theta))
             assert np.abs(cf.sorted_descending() - num.eigenvalues).max() < 1e-8
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf,
+                                       np.array([0.1, math.nan, 0.3])])
+    def test_non_finite_parameter_refused(self, theta):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            closed_form_one_param(theta)
 
     def test_each_eigenvalue_has_its_bell_state(self):
         # away from degeneracies the eigenvector of each formula eigenvalue
@@ -201,6 +209,31 @@ class TestFindOptimum:
         assert abs(opt.beta - 7.5) < 1e-9
         assert opt.state_label == "phi+"
         assert any(abs(abs(c[0]) - 60.0) < 1e-9 for c in opt.grid_candidates_deg)
+
+    @pytest.mark.parametrize("family, objective, beta, angles, params, label, candidates", [
+        (TwoParam, "max", "7.499999999999998",
+         (0.0, -2.094395053273752, 2.0943951559417364),
+         TwoParam(phi=-1.047197526636876, theta=1.0471975779708682),
+         "phi+", ((-60.0, 60.0), (60.0, -60.0))),
+        (TwoParam, "min", "1.5000000000000009",
+         (0.0, -2.0943950720357094, 2.094395139917111),
+         TwoParam(phi=-1.0471975360178547, theta=1.0471975699585554),
+         "psi-", ((-60.0, 60.0), (60.0, -60.0))),
+        (OneParam, "max", "7.5",
+         (0.0, -2.0943950907976676, 2.0943950907976676),
+         OneParam(theta=-1.0471975453988338), "phi+", ((-60.0,), (60.0,))),
+        (OneParam, "min", "1.5000000000000004",
+         (0.0, -2.0943950907976676, 2.0943950907976676),
+         OneParam(theta=-1.0471975453988338), "psi-", ((-60.0,), (60.0,))),
+    ])
+    def test_result_is_frozen_bit_for_bit(self, family, objective, beta, angles, params,
+                                          label, candidates):
+        opt = find_optimum(family, objective)
+        assert repr(opt.beta) == beta
+        assert opt.settings.as_tuple() == angles
+        assert opt.parametrization == params
+        assert opt.state_label == label
+        assert opt.grid_candidates_deg == candidates
 
     def test_settings_consistent_with_value(self):
         opt = find_optimum(TwoParam, "max")
