@@ -19,16 +19,12 @@ from qorient import (
     noisy_phi_plus,
     sweep_surface,
 )
-from qorient.cli import parse_state
+from qorient.cli import dataset_text, parse_state
 
 
 def write_csv(path, dataset):
-    lines = [",".join(dataset.columns)]
-    for row in dataset.rows:
-        lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v)
-                              for v in row))
-    path.write_text("\n".join(lines) + "\n")
-    print(f"  wrote {path} ({len(dataset.rows)} rows)")
+    path.write_text(dataset_text(dataset.columns, dataset.data, "csv", {}))
+    print(f"  wrote {path} ({len(dataset.data[0])} rows)")
 
 
 def main():

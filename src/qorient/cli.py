@@ -16,6 +16,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import __version__
 from .classical import classical_maximum, classical_minimum, classical_success_bound, enumerate_all
 from .scoring import CLASSICAL_BOUND, MIXED_BETA, N_TERMS, PURE_MAX_BETA, beta_value
@@ -78,23 +80,59 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def write_dataset(columns, rows, args, metadata) -> None:
-    """Serialize a dataset as CSV or JSON to --output, or stdout."""
-    if args.format == "json":
-        payload = {
-            "metadata": dict(metadata, command=args.command, version=__version__),
-            "columns": list(columns),
-            "data": {c: [row[k] for row in rows] for k, c in enumerate(columns)},
-        }
-        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    else:
-        # csv.writer quotes a cell holding a comma, such as a superpose:A,B,AMP spec
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([_format_value(v) for v in row] for row in rows)
-        text = buffer.getvalue()
+def _json_value(v) -> str:
+    """``v`` as json.dumps spells it; float.__repr__ is that spelling for a finite float."""
+    if isinstance(v, float) and math.isfinite(v):
+        return float.__repr__(v)
+    return json.dumps(v)
 
+
+def _cells(values, spell) -> list[str]:
+    """Spell each value of one column as text.
+
+    A float64 array is spelled one distinct value at a time: sweep grids
+    repeat most of their values. Values are told apart by bit pattern, so
+    -0.0 and 0.0 keep their own spellings.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        spelled = np.array([spell(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+        return spelled[inverse].tolist()
+    return [spell(v) for v in (values.tolist() if isinstance(values, np.ndarray) else values)]
+
+
+def dataset_text(columns, data, fmt: str, metadata) -> str:
+    """A column-major dataset as CSV or JSON text.
+
+    ``data[k]`` holds the values of ``columns[k]`` in row order, as a
+    numpy array or a sequence of plain Python values; every dataset has
+    at least one column and one row. CSV has a header row and floats at
+    12 significant digits. JSON is what ``json.dumps(payload,
+    sort_keys=True, indent=1)`` writes for ``{"columns": [...], "data":
+    {column: [values]}, "metadata": metadata}``, with the data lists
+    spelled by ``_cells`` rather than by the pure-Python encoder.
+    """
+    if fmt == "json":
+        shell = json.dumps({"columns": list(columns), "data": {}, "metadata": metadata},
+                           sort_keys=True, indent=1)
+        # a newline inside a JSON string is escaped, so this is the top-level key
+        head, tail = shell.split('\n "data": {}', 1)
+        lists = [f"  {json.dumps(name)}: [\n   " + ",\n   ".join(_cells(values, _json_value))
+                 + "\n  ]" for name, values in sorted(zip(columns, data), key=lambda c: c[0])]
+        return head + '\n "data": {\n' + ",\n".join(lists) + "\n }" + tail + "\n"
+    # csv.writer quotes a cell holding a comma, such as a superpose:A,B,AMP spec
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(zip(*(_cells(values, _format_value) for values in data)))
+    return buffer.getvalue()
+
+
+def write_dataset(columns, data, args, metadata) -> None:
+    """Serialize a column-major dataset (see ``dataset_text``) as --format
+    to --output, or to stdout."""
+    text = dataset_text(columns, data, args.format,
+                        dict(metadata, command=args.command, version=__version__))
     if args.output is None:
         sys.stdout.write(text)
     else:
@@ -110,6 +148,11 @@ def _say(args, line: str) -> None:
     print(line, file=_summary_stream(args))
 
 
+def _require_seed(args) -> None:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+
+
 def _settings_from_args(args) -> SettingTriple:
     return SettingTriple.from_degrees(*args.settings)
 
@@ -117,31 +160,32 @@ def _settings_from_args(args) -> SettingTriple:
 def cmd_eigs(args) -> int:
     family = OneParam if args.one_param else TwoParam
     dataset = sweep_surface(family, args.grid, include_numeric=not args.one_param)
-    write_dataset(dataset.columns, dataset.rows, args,
+    write_dataset(dataset.columns, dataset.data, args,
                   {"grid": args.grid, "family": "one-param" if args.one_param else "two-param"})
-    lam_cols = [dataset.column(c) for c in ("lambda1", "lambda2", "lambda3", "lambda4")]
-    top = max(max(col) for col in lam_cols)
-    low = min(min(col) for col in lam_cols)
+    lam = np.stack([dataset.column(c) for c in ("lambda1", "lambda2", "lambda3", "lambda4")])
+    top, low = lam.max(), lam.min()
     _say(args, f"eigenvalue range over grid: [{low:.9g}, {top:.9g}] "
                f"(classical bound {CLASSICAL_BOUND:g})")
     return 0
 
 
-def _extreme_rows(dataset, col: str, pick) -> tuple[float, list[tuple]]:
-    values = dataset.column(col)
-    best = pick(values)
-    where = [row for row, v in zip(dataset.rows, values) if abs(v - best) <= 1e-9]
-    return best, where
+def _extreme_rows(dataset, pick) -> tuple[float, np.ndarray]:
+    """The extreme beta of a sweep (``pick`` is np.max or np.min) and the
+    indices of the rows within 1e-9 of it, in row order."""
+    beta = dataset.column("beta")
+    best = pick(beta)
+    return best, np.flatnonzero(np.abs(beta - best) <= 1e-9)
 
 
 def cmd_beta_surface(args) -> int:
     state = parse_state(args.state)
     dataset = sweep_surface(TwoParam, args.grid, state=state)
-    write_dataset(dataset.columns, dataset.rows, args,
+    write_dataset(dataset.columns, dataset.data, args,
                   {"grid": args.grid, "state": args.state})
-    best, at = _extreme_rows(dataset, "beta", max)
-    low, _ = _extreme_rows(dataset, "beta", min)
-    spots = ", ".join(f"({r[0]:g}, {r[1]:g})" for r in at[:4])
+    best, at = _extreme_rows(dataset, np.max)
+    low, _ = _extreme_rows(dataset, np.min)
+    phi, theta = (dataset.column(c)[at[:4]].tolist() for c in ("phi_deg", "theta_deg"))
+    spots = ", ".join(f"({p:g}, {t:g})" for p, t in zip(phi, theta))
     _say(args, f"beta max over grid = {best:.9g} at (phi_deg, theta_deg): {spots}"
                + (" ..." if len(at) > 4 else ""))
     _say(args, f"beta min over grid = {low:.9g}; classical bound {CLASSICAL_BOUND:g}; "
@@ -152,10 +196,10 @@ def cmd_beta_surface(args) -> int:
 def cmd_sweep_1d(args) -> int:
     state = parse_state(args.state)
     dataset = sweep_surface(OneParam, args.grid, state=state)
-    write_dataset(dataset.columns, dataset.rows, args,
+    write_dataset(dataset.columns, dataset.data, args,
                   {"grid": args.grid, "state": args.state})
-    best, at = _extreme_rows(dataset, "beta", max)
-    spots = ", ".join(f"{r[0]:g}" for r in at[:4])
+    best, at = _extreme_rows(dataset, np.max)
+    spots = ", ".join(f"{t:g}" for t in dataset.column("theta_deg")[at[:4]].tolist())
     _say(args, f"beta max over sweep = {best:.9g} at theta_deg: {spots}"
                + (" ..." if len(at) > 4 else ""))
     return 0
@@ -165,7 +209,7 @@ def cmd_classical(args) -> int:
     scored = enumerate_all()
     columns = ("a1", "a2", "a3", "b1", "b2", "b3", "beta")
     rows = [s.alice + s.bob + (score,) for s, score in scored]
-    write_dataset(columns, rows, args, {"strategies": len(rows)})
+    write_dataset(columns, list(zip(*rows)), args, {"strategies": len(rows)})
     best, argmax = classical_maximum()
     worst, _ = classical_minimum()
     _say(args, f"{len(rows)} deterministic strategies; max beta = {best} "
@@ -178,6 +222,7 @@ def cmd_simulate(args) -> int:
     if args.trials < MIN_STATISTICAL_SAMPLES:
         raise ValueError(f"--trials must be >= {MIN_STATISTICAL_SAMPLES} for a "
                          "meaningful estimate")
+    _require_seed(args)
     state = parse_state(args.state)
     settings = _settings_from_args(args)
     estimate = run_game(state, settings, args.trials, args.seed)
@@ -186,8 +231,8 @@ def cmd_simulate(args) -> int:
                "success_rate", "stderr", "expected_success")
     rows = [(args.state, *args.settings, args.trials, args.seed,
              estimate.success_rate, estimate.stderr, expected)]
-    write_dataset(columns, rows, args, {"state": args.state, "seed": args.seed,
-                                        "trials": args.trials})
+    write_dataset(columns, list(zip(*rows)), args, {"state": args.state, "seed": args.seed,
+                                                    "trials": args.trials})
     _say(args, f"success rate = {estimate.success_rate:.6f} +- {estimate.stderr:.6f} "
                f"({args.trials} trials, seed {args.seed})")
     _say(args, f"Born-rule expectation = {expected:.6f}; classical bound "
@@ -199,6 +244,7 @@ def cmd_counts(args) -> int:
     if args.n_per_pair < MIN_STATISTICAL_SAMPLES:
         raise ValueError(f"--n-per-pair must be >= {MIN_STATISTICAL_SAMPLES} for a "
                          "meaningful reconstruction")
+    _require_seed(args)
     state = parse_state(args.state)
     settings = _settings_from_args(args)
     table = synth_counts(state, settings, args.n_per_pair, args.seed)
@@ -212,8 +258,8 @@ def cmd_counts(args) -> int:
             rows.append((i + 1, j + 1, degrees[i], degrees[j],
                          int(cell[0]), int(cell[1]), int(cell[2]), int(cell[3]),
                          int(cell.sum())))
-    write_dataset(columns, rows, args, {"state": args.state, "seed": args.seed,
-                                        "n_per_pair": args.n_per_pair})
+    write_dataset(columns, list(zip(*rows)), args, {"state": args.state, "seed": args.seed,
+                                                    "n_per_pair": args.n_per_pair})
     recon = beta_from_counts(table)
     _say(args, f"beta reconstructed from counts = {recon.beta:.6f} "
                f"(success {recon.success_probability:.6f}, seed {args.seed})")
@@ -231,7 +277,8 @@ def cmd_fit(args) -> int:
         fits.append(fit_noise(observed, method="curve-fit"))
     columns = ("method", "p_hat", "residual")
     rows = [(f.method, f.p_hat, f.residual) for f in fits]
-    write_dataset(columns, rows, args, {"beta_max": args.beta_max, "input": args.input})
+    write_dataset(columns, list(zip(*rows)), args,
+                  {"beta_max": args.beta_max, "input": args.input})
     for f in fits:
         note = ""
         if f.method == "max-point" and not MIXED_BETA <= args.beta_max <= PURE_MAX_BETA:

@@ -36,8 +36,9 @@ from .states import (
 UNIT_NORM_TOL = 1e-10
 
 # sweep_surface refuses larger grids before allocating anything: the
-# largest dataset, eigs with numeric columns as JSON, peaks near 1.9 KiB
-# per point (measured at 181x181 and 256x256), so ~330 MiB at the cap
+# largest dataset, eigs with numeric columns as JSON, peaks near 1.05 KiB
+# per point above a 28 MiB interpreter (peak RSS 95 MiB at 256x256, 64 MiB
+# at 181x181; CSV is a few MiB less), so ~190 MiB at the cap
 MAX_GRID_POINTS = 160_000
 
 SEARCH_GRID_STEP_DEG = 0.5
@@ -264,14 +265,19 @@ def find_optimum(family, objective: str = "max") -> Optimum:
 
 @dataclass(frozen=True)
 class SweepDataset:
-    """A tabulated sweep: column names plus rows of plain Python values."""
+    """A tabulated sweep, column-major: ``data[k]`` is the numpy array of
+    column ``columns[k]``, with one entry per grid point in row order."""
 
     columns: tuple[str, ...]
-    rows: list[tuple]
+    data: tuple[np.ndarray, ...]
 
-    def column(self, name: str) -> list:
-        k = self.columns.index(name)
-        return [row[k] for row in self.rows]
+    def column(self, name: str) -> np.ndarray:
+        return self.data[self.columns.index(name)]
+
+    @property
+    def rows(self) -> list[tuple]:
+        """Row tuples of plain Python values, built from the columns on each access."""
+        return list(zip(*(c.tolist() for c in self.data)))
 
 
 def _family_axis(grid_resolution: int, n_params: int) -> np.ndarray:
@@ -307,7 +313,7 @@ def sweep_surface(family, grid_resolution: int, state: QuantumState | None = Non
 
     if state is not None:
         columns = lead + ("beta",)
-        return SweepDataset(columns=columns, rows=_rows(params_deg + [beta_grid(state, angles)]))
+        return SweepDataset(columns=columns, data=(*params_deg, beta_grid(state, angles)))
 
     columns = lead + ("lambda1", "lambda2", "lambda3", "lambda4")
     cf = closed_form(*params)
@@ -319,9 +325,4 @@ def sweep_surface(family, grid_resolution: int, state: QuantumState | None = Non
         columns += ("lambda1_numeric", "lambda2_numeric",
                     "lambda3_numeric", "lambda4_numeric")
         values += list(linalg.hermitian_eigen(game_operators(angles)).eigenvalues.T)
-    return SweepDataset(columns=columns, rows=_rows(values))
-
-
-def _rows(columns) -> list[tuple]:
-    """Rows of plain Python values (what the serializers expect) from column arrays."""
-    return list(zip(*(c.tolist() for c in columns)))
+    return SweepDataset(columns=columns, data=tuple(values))

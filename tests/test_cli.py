@@ -1,6 +1,8 @@
 """End-to-end checks of the command-line interface."""
 
+import argparse
 import csv
+import io
 import json
 import math
 import tracemalloc
@@ -8,7 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qorient.cli import main, parse_state
+from qorient import __version__
+from qorient.cli import _format_value, main, parse_state, write_dataset
 from qorient.spectra import MAX_GRID_POINTS
 from qorient.states import BellState, bell_state_density, noisy_phi_plus
 
@@ -270,7 +273,64 @@ class TestGridBounds:
         assert peak < 2**20  # not even the parameter axis was built
 
 
+class TestWriteDataset:
+    """The column-major writer, byte for byte against the row-by-row
+    formulas it replaced."""
+
+    SPEC = "superpose:psi+,phi-,0.6"
+
+    @staticmethod
+    def row_formula_text(columns, rows, fmt, metadata):
+        if fmt == "json":
+            payload = {"metadata": metadata, "columns": list(columns),
+                       "data": {c: [row[k] for row in rows] for k, c in enumerate(columns)}}
+            return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_format_value(v) for v in row] for row in rows)
+        return buffer.getvalue()
+
+    def check(self, tmp_path, fmt, columns, data):
+        rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in data)))
+        metadata = {"grid": len(rows), "state": self.SPEC}
+        out = tmp_path / f"dataset.{fmt}"
+        write_dataset(columns, data, argparse.Namespace(format=fmt, output=str(out),
+                                                        command="eigs"), metadata)
+        want = self.row_formula_text(columns, rows, fmt,
+                                     dict(metadata, command="eigs", version=__version__))
+        assert out.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_special_and_repeated_values(self, tmp_path, fmt):
+        special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 0.1 + 0.2,
+                            7.5, -0.0, 7.5, 1e-300, -2.5e17, 0.0])
+        n = len(special)
+        columns = ("special", "repeated", "strided", "count", "flag", "int_array",
+                   "bool_array", "state", "label")
+        data = (special, np.repeat([60.0, -60.0, 0.5], n // 3),
+                np.arange(2.0 * n)[::2] / 3,  # a non-contiguous view
+                list(range(n)), [k % 2 == 0 for k in range(n)],
+                np.arange(n) - 6, np.arange(n) % 3 == 0, [self.SPEC] * n, np.full(n, "phi+"))
+        self.check(tmp_path, fmt, columns, data)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_row(self, tmp_path, fmt):
+        columns = ("state", "t1_deg", "trials", "seed", "success_rate", "zero")
+        self.check(tmp_path, fmt, columns,
+                   ([self.SPEC], [120.0], [1000], [3], [0.491], np.array([-0.0])))
+
+
 class TestErrorPaths:
+    @pytest.mark.parametrize("command, seed", [
+        (["simulate", "--trials", "1000"], "-1"),
+        (["counts", "--n-per-pair", "1000"], "-5"),
+    ])
+    def test_negative_seed_names_the_flag(self, capsys, command, seed):
+        assert run(command + ["--seed", seed]) == 2
+        assert capsys.readouterr().err == (f"error: --seed must be a non-negative integer, "
+                                           f"got {seed}\n")
+
     def test_unwritable_output(self, tmp_path, capsys):
         missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert run(["classical", "-o", str(missing_dir)]) == 1
