@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -80,6 +81,24 @@ def _format_value(v) -> str:
     return str(v)
 
 
+@functools.lru_cache(maxsize=256)
+def _csv_quoted(text: str) -> str:
+    """``text`` as csv.writer spells it as one of several cells in a row:
+    quoted, with ``"`` doubled, when it holds a ``,``, a ``"`` or a line
+    break (QUOTE_MINIMAL), such as a superpose:A,B,AMP spec."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow((text, ""))
+    return buffer.getvalue()[:-2]
+
+
+def _csv_value(v) -> str:
+    """A CSV cell. No spelling of a float, an int or a bool holds a ``,``,
+    a ``"`` or a line break, so only other values go through the quoting."""
+    if isinstance(v, (float, int)):  # a bool is an int
+        return _format_value(v)
+    return _csv_quoted(_format_value(v))
+
+
 def _json_value(v) -> str:
     """``v`` as json.dumps spells it; float.__repr__ is that spelling for a finite float."""
     if isinstance(v, float) and math.isfinite(v):
@@ -120,12 +139,13 @@ def dataset_text(columns, data, fmt: str, metadata) -> str:
         lists = [f"  {json.dumps(name)}: [\n   " + ",\n   ".join(_cells(values, _json_value))
                  + "\n  ]" for name, values in sorted(zip(columns, data), key=lambda c: c[0])]
         return head + '\n "data": {\n' + ",\n".join(lists) + "\n }" + tail + "\n"
-    # csv.writer quotes a cell holding a comma, such as a superpose:A,B,AMP spec
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(zip(*(_cells(values, _format_value) for values in data)))
-    return buffer.getvalue()
+    # the cells are csv.writer's, so a row is the cells joined by commas
+    lines = [",".join(map(_csv_quoted, columns)),
+             *map(",".join, zip(*(_cells(values, _csv_value) for values in data)))]
+    if len(columns) == 1:
+        # csv.writer quotes a lone empty cell, so that no row is a blank line
+        lines = [line or '""' for line in lines]
+    return "\n".join(lines) + "\n"
 
 
 def write_dataset(columns, data, args, metadata) -> None:

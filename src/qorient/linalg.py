@@ -41,19 +41,28 @@ def as_matrix(a, dims: tuple[int, ...] = VALID_DIMS, stack: bool = False) -> np.
     non-finite entries.
     """
     m = np.asarray(a, dtype=complex)
-    if (m.ndim != 2 and not (stack and m.ndim > 2)) or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[-1] not in dims:
-        raise ValueError(f"unsupported dimension {m.shape[-1]}, expected one of {dims}")
+    _check_shape(m, dims, stack)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
 
 
+def _check_shape(m: np.ndarray, dims: tuple[int, ...], stack: bool) -> None:
+    """Refuse a non-square shape, then an unsupported dimension."""
+    if (m.ndim != 2 and not (stack and m.ndim > 2)) or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.shape[-1] not in dims:
+        raise ValueError(f"unsupported dimension {m.shape[-1]}, expected one of {dims}")
+
+
 def hermiticity_defect(a) -> float:
-    """Max entrywise |a - a^dagger|, over a whole stack of matrices."""
+    """Max entrywise |a - a^dagger|, over a whole stack of matrices.
+
+    Any nan or inf entry makes the defect nan or inf, without a warning.
+    """
     m = np.asarray(a, dtype=complex)
-    return float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
+    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
+        return float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
 
 
 @dataclass(frozen=True)
@@ -80,11 +89,18 @@ def hermitian_eigen(a) -> Spectrum:
     eigenvectors, with ``eigenvectors[..., :, k]`` belonging to
     ``eigenvalues[..., k]``.
 
-    Raises ValueError for malformed, non-finite or non-Hermitian input.
+    The input is checked in one pass: after the shape, only the
+    Hermiticity defect is computed, and a nan or inf entry makes that
+    defect nan or inf, so one comparison refuses both faults. Only a
+    refused input is then checked for finiteness, so that the error
+    names the first fault in the order shape, dimension, finite,
+    Hermitian. Raises ValueError for each of them.
     """
-    m = as_matrix(a, stack=True)
+    m = np.asarray(a, dtype=complex)
+    _check_shape(m, VALID_DIMS, stack=True)
     defect = hermiticity_defect(m)
-    if defect > HERMITICITY_TOL:
+    if not defect <= HERMITICITY_TOL:
+        as_matrix(m, stack=True)  # raises if an entry is nan or inf
         raise ValueError("hermitian_eigen requires a Hermitian matrix "
                          f"(defect {defect:.3e} > {HERMITICITY_TOL:.0e})")
     vals, vecs = np.linalg.eigh(m)

@@ -33,8 +33,11 @@ PURE_MAX_BETA = 7.5  # top of the spectrum over all settings (reached by phi+)
 # local Bloch components and correlations in the x-z plane
 _TAU = (linalg.IDENTITY_2, linalg.PAULI_X, linalg.PAULI_Z)
 _PAULI_PAIRS = np.array([[np.kron(p, q) for q in _TAU] for p in _TAU])
-# sigma_k (x) sigma_l for k, l in (x, z), flattened to (4, 16)
-_XZ_PAIRS = _PAULI_PAIRS[1:, 1:].reshape(4, 16)
+# sigma_k (x) sigma_l for k, l in (x, z), flattened to (4, 16); all four are
+# real, and each of the 16 entries is nonzero (+-1) in exactly one of them
+_XZ_PAIRS = _PAULI_PAIRS[1:, 1:].reshape(4, 16).real.copy()
+# the constant term of every game operator
+_MIXED_OPERATOR = MIXED_BETA * linalg.IDENTITY_4.real
 # outcome signs of Alice and Bob in the order (++, +-, -+, --)
 _SIGN_A = np.array([1.0, 1.0, -1.0, -1.0])
 _SIGN_B = np.array([1.0, -1.0, 1.0, -1.0])
@@ -61,7 +64,10 @@ class BetaBreakdown:
 def _directions(theta) -> np.ndarray:
     """x-z components (sin, cos) of n(theta), for an angle array: shape (..., 2)."""
     theta = np.asarray(theta, dtype=float)
-    return np.stack([np.sin(theta), np.cos(theta)], axis=-1)
+    n = np.empty(theta.shape + (2,))
+    np.sin(theta, out=n[..., 0])
+    np.cos(theta, out=n[..., 1])
+    return n
 
 
 def _bloch_components(state: QuantumState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -137,12 +143,18 @@ def game_operators(angles) -> np.ndarray:
     directions, ``A_i (x) A_j = sum_kl N_ik N_jl sigma_k (x) sigma_l``,
     so the bracket is ``sum_kl K_kl sigma_k (x) sigma_l`` with the 2x2
     ``K = 2 N^T N - (N^T 1)(N^T 1)^T``.
+
+    Each entry is 4.5 (on the diagonal) or 0, plus one ``+-K_kl / 2``,
+    so G is real. It is returned as complex128 all the same: ``eigh``
+    of a real matrix runs another LAPACK routine, whose eigenvalues
+    differ from the complex one's in the last bits.
     """
     n = _directions(angles)
     total = n.sum(axis=-2)
     k = 2.0 * (np.swapaxes(n, -1, -2) @ n) - total[..., :, None] * total[..., None, :]
     pairs = k.reshape(k.shape[:-2] + (4,)) @ _XZ_PAIRS
-    return MIXED_BETA * linalg.IDENTITY_4 + pairs.reshape(pairs.shape[:-1] + (4, 4)) / 2.0
+    g = _MIXED_OPERATOR + pairs.reshape(pairs.shape[:-1] + (4, 4)) / 2.0
+    return g.astype(complex)
 
 
 def game_operator(settings: Parametrization) -> np.ndarray:

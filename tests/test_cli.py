@@ -315,6 +315,23 @@ class TestWriteDataset:
         self.check(tmp_path, fmt, columns, data)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_strings_that_need_quoting(self, tmp_path, fmt):
+        text = np.array([self.SPEC, 'say "hi"', "", "line\nbreak", "cr\rlf", "plain", ""])
+        n = len(text)
+        columns = ("label", "quoted, header", "beta", "count", "flag", "empty", 'q"uote')
+        data = (list(text), text, np.linspace(-1.0, 1.0, n), np.arange(n) - 3,
+                np.arange(n) % 2 == 0, [""] * n, [True, 1, 1.0, -0.0, 0, None, "x"])
+        self.check(tmp_path, fmt, columns, data)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("column, values", [
+        ("label", ["", "a,b", ""]), ("", [0.5, -0.0, 2.0]), ("n", np.array([3, -1, 7])),
+    ])
+    def test_single_column(self, tmp_path, fmt, column, values):
+        # csv.writer quotes a row holding one empty cell
+        self.check(tmp_path, fmt, (column,), (values,))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_one_row(self, tmp_path, fmt):
         columns = ("state", "t1_deg", "trials", "seed", "success_rate", "zero")
         self.check(tmp_path, fmt, columns,

@@ -1,5 +1,7 @@
 """Matrix plumbing and the Hermitian eigensolver."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,11 @@ from qorient.linalg import (
     PAULI_Z,
     hermitian_eigen,
 )
+
+
+def exactly(message):
+    """A pytest.raises pattern matching the whole message and nothing else."""
+    return "^" + re.escape(message) + "$"
 
 
 def random_hermitian(rng, n):
@@ -50,6 +57,38 @@ class TestHermitianEigen:
         bad = np.array([[np.nan, 0], [0, 1]], dtype=complex)
         with pytest.raises(ValueError, match="finite"):
             hermitian_eigen(bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, complex(0, np.nan), np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(1, 0, 0), (2, 3, 3), (0, 1, 2)])
+    def test_one_non_finite_matrix_in_a_stack(self, bad, where):
+        # nan or inf on or off the diagonal of one matrix in a Hermitian stack;
+        # a non-Hermitian matrix elsewhere in the stack does not change the message
+        stack = np.array([np.eye(4), np.diag([1.0, 2, 3, 4]), np.eye(4)], dtype=complex)
+        stack[where] = bad
+        with pytest.raises(ValueError, match=exactly("matrix entries must be finite")):
+            hermitian_eigen(stack)
+        stack[0, 0, 1] = 1.0
+        with pytest.raises(ValueError, match=exactly("matrix entries must be finite")):
+            hermitian_eigen(stack)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (4,), (), (2, 4, 3)])
+    def test_non_square_rejected_before_finite(self, shape):
+        with pytest.raises(ValueError, match=exactly(
+                f"expected a square matrix, got shape {shape}")):
+            hermitian_eigen(np.full(shape, np.nan))
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_unsupported_dimension_rejected_before_finite(self, n):
+        with pytest.raises(ValueError, match=exactly(
+                f"unsupported dimension {n}, expected one of (2, 4)")):
+            hermitian_eigen(np.full((2, n, n), np.inf))
+
+    def test_non_hermitian_message_names_the_defect(self):
+        with pytest.raises(ValueError, match=exactly(
+                "hermitian_eigen requires a Hermitian matrix (defect 2.000e-10 > 1e-10)")):
+            hermitian_eigen(np.array([[0, 2e-10], [0, 0]], dtype=complex))
+        # a defect at the tolerance is accepted
+        hermitian_eigen(np.array([[0, 1e-10], [0, 0]], dtype=complex))
 
     def test_stack_matches_single_calls(self):
         rng = np.random.default_rng(4)

@@ -1,7 +1,9 @@
 """Property tests of the correlator core over random settings and mixed states.
 
 The game operator is checked against its definition, the sum of 18
-Kronecker products of spin projectors built here with ``np.kron``;
+Kronecker products of spin projectors built here with ``np.kron``, and
+bit for bit against its first complex-table construction, eigenvalues
+included;
 every score, distribution and sweep row is checked against that
 operator or against the single-point functions; the two-parameter
 closed form is checked against that operator's spectrum right next to
@@ -30,6 +32,7 @@ from qorient import (
     enumerate_all,
     expected_counts,
     game_operator,
+    game_operators,
     numeric_spectrum,
     sweep_surface,
 )
@@ -78,6 +81,34 @@ def reference_operator(triple: SettingTriple) -> np.ndarray:
 @given(triples)
 def test_operator_matches_kron_definition(triple):
     assert np.abs(game_operator(triple) - reference_operator(triple)).max() <= TOL
+
+
+def complex_table_operators(angles) -> np.ndarray:
+    """The game operators as ``game_operators`` first built them: K contracted
+    with a complex (4, 16) table of sigma_k (x) sigma_l, then
+    ``4.5 I + pairs / 2`` in complex arithmetic."""
+    angles = np.asarray(angles, dtype=float)
+    n = np.stack([np.sin(angles), np.cos(angles)], axis=-1)
+    total = n.sum(axis=-2)
+    k = 2.0 * (np.swapaxes(n, -1, -2) @ n) - total[..., :, None] * total[..., None, :]
+    table = np.array([np.kron(p, q) for p in (SIGMA_X, SIGMA_Z)
+                      for q in (SIGMA_X, SIGMA_Z)]).reshape(4, 16)
+    pairs = k.reshape(k.shape[:-2] + (4,)) @ table
+    return 4.5 * np.eye(4, dtype=complex) + pairs.reshape(pairs.shape[:-1] + (4, 4)) / 2.0
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(angles, angles, angles), min_size=1, max_size=40))
+def test_operator_bits_match_complex_table(stack):
+    got = game_operators(np.array(stack))
+    assert got.dtype == complex and np.array_equal(got.imag, np.zeros_like(got.imag))
+    assert np.array_equal(got, complex_table_operators(np.array(stack)))
+    for triple in stack:
+        point = SettingTriple(*triple)
+        want = complex_table_operators(triple)
+        assert np.array_equal(game_operator(point), want)
+        assert np.array_equal(numeric_spectrum(point).eigenvalues,
+                              np.linalg.eigh(want)[0][::-1])
 
 
 @settings(deadline=None)

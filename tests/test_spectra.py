@@ -255,6 +255,23 @@ class TestFindOptimum:
         with pytest.raises(ValueError):
             find_optimum(SettingTriple, "max")
 
+    @pytest.mark.parametrize("family", [TwoParam, OneParam])
+    @pytest.mark.parametrize("objective", ["max", "min"])
+    def test_repeat_call_returns_the_same_object(self, family, objective):
+        assert find_optimum(family, objective) is find_optimum(family, objective)
+
+    def test_bad_arguments_raise_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="objective must be 'max' or 'min'"):
+                find_optimum(TwoParam, "extremal")
+            with pytest.raises(ValueError, match="objective must be 'max' or 'min'"):
+                find_optimum(TwoParam, ["max"])
+            with pytest.raises(ValueError, match="family must be the TwoParam or OneParam"):
+                find_optimum(SettingTriple, "max")
+            # checked before the memo, which could not hash a list
+            with pytest.raises(ValueError, match="family must be the TwoParam or OneParam"):
+                find_optimum([TwoParam], "max")
+
 
 class TestSweepSurface:
     def test_two_param_lambda_grid_shape(self):
