@@ -58,11 +58,10 @@ def _check_shape(m: np.ndarray, dims: tuple[int, ...], stack: bool) -> None:
 def hermiticity_defect(a) -> float:
     """Max entrywise |a - a^dagger|, over a whole stack of matrices.
 
-    Any nan or inf entry makes the defect nan or inf, without a warning.
+    Any nan or inf entry makes the defect nan or inf.
     """
     m = np.asarray(a, dtype=complex)
-    with np.errstate(invalid="ignore"):  # inf - inf on the diagonal
-        return float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
+    return float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,8 @@ def hermitian_eigen(a) -> Spectrum:
     """
     m = np.asarray(a, dtype=complex)
     _check_shape(m, VALID_DIMS, stack=True)
-    defect = hermiticity_defect(m)
+    with np.errstate(invalid="ignore"):  # an inf entry subtracts inf from inf
+        defect = hermiticity_defect(m)
     if not defect <= HERMITICITY_TOL:
         as_matrix(m, stack=True)  # raises if an entry is nan or inf
         raise ValueError("hermitian_eigen requires a Hermitian matrix "

@@ -58,6 +58,7 @@ class TestHermitianEigen:
         with pytest.raises(ValueError, match="finite"):
             hermitian_eigen(bad)
 
+    @pytest.mark.filterwarnings("error")  # refused without a RuntimeWarning
     @pytest.mark.parametrize("bad", [np.nan, complex(0, np.nan), np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(1, 0, 0), (2, 3, 3), (0, 1, 2)])
     def test_one_non_finite_matrix_in_a_stack(self, bad, where):
