@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import math
@@ -81,7 +80,6 @@ def _format_value(v) -> str:
     return str(v)
 
 
-@functools.lru_cache(maxsize=256)
 def _csv_quoted(text: str) -> str:
     """``text`` as csv.writer spells it as one of several cells in a row:
     quoted, with ``"`` doubled, when it holds a ``,``, a ``"`` or a line
@@ -91,12 +89,23 @@ def _csv_quoted(text: str) -> str:
     return buffer.getvalue()[:-2]
 
 
-def _csv_value(v) -> str:
-    """A CSV cell. No spelling of a float, an int or a bool holds a ``,``,
-    a ``"`` or a line break, so only other values go through the quoting."""
-    if isinstance(v, (float, int)):  # a bool is an int
-        return _format_value(v)
-    return _csv_quoted(_format_value(v))
+def _csv_cells(values) -> list[str]:
+    """One column's cells as csv.writer spells them. No spelling of a float,
+    an int or a bool holds a ``,``, a ``"`` or a line break, so those go
+    unquoted; every other distinct spelling is quoted once."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
+        return _cells(values, _format_value)
+    quoted = {}
+
+    def spell(v) -> str:
+        text = _format_value(v)
+        if isinstance(v, (float, int)):  # a bool is an int
+            return text
+        if text not in quoted:
+            quoted[text] = _csv_quoted(text)
+        return quoted[text]
+
+    return _cells(values, spell)
 
 
 def _json_value(v) -> str:
@@ -141,7 +150,7 @@ def dataset_text(columns, data, fmt: str, metadata) -> str:
         return head + '\n "data": {\n' + ",\n".join(lists) + "\n }" + tail + "\n"
     # the cells are csv.writer's, so a row is the cells joined by commas
     lines = [",".join(map(_csv_quoted, columns)),
-             *map(",".join, zip(*(_cells(values, _csv_value) for values in data)))]
+             *map(",".join, zip(*map(_csv_cells, data)))]
     if len(columns) == 1:
         # csv.writer quotes a lone empty cell, so that no row is a blank line
         lines = [line or '""' for line in lines]

@@ -16,7 +16,6 @@ rather than by index, which stays meaningful under degeneracies.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -84,7 +83,9 @@ class ClosedFormSpectrum:
 
 def _require_finite(value, name: str) -> None:
     """Refuse a family parameter (float or array) holding nan or inf."""
-    if not np.isfinite(value).all():
+    finite = np.isfinite(value)
+    # at a point, finite is a numpy bool, and its .all() would cost about 3 us
+    if not (finite.all() if finite.ndim else finite):
         bad = np.asarray(value)[~np.isfinite(value)].flat[0]
         raise ValueError(f"{name} must be finite, got {bad}")
 
@@ -222,21 +223,9 @@ def find_optimum(family, objective: str = "max") -> Optimum:
     the extremum (symmetry partners) are all reported; the canonical one
     minimizes the sum of absolute parameters, ties broken
     lexicographically.
-
-    The result depends only on ``(family, objective)``, so it is
-    memoized: the first call with a pair runs the search, and later
-    calls return that same frozen Optimum. Arguments are checked on
-    every call, and a refused pair is never cached.
     """
     if objective not in ("max", "min"):
         raise ValueError(f"objective must be 'max' or 'min', got {objective!r}")
-    _family(family)
-    return _search_optimum(family, objective)
-
-
-@functools.cache
-def _search_optimum(family, objective: str) -> Optimum:
-    """The search of ``find_optimum``, run once per valid (family, objective)."""
     closed_form, lead = _family(family)
     pick = np.maximum if objective == "max" else np.minimum
     sign = -1.0 if objective == "max" else 1.0

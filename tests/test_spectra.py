@@ -250,27 +250,14 @@ class TestFindOptimum:
         assert abs(opt.beta - grid_max) < 1e-9
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="objective must be 'max' or 'min'"):
             find_optimum(TwoParam, "extremal")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="objective must be 'max' or 'min'"):
+            find_optimum(TwoParam, ["max"])
+        with pytest.raises(ValueError, match="family must be the TwoParam or OneParam"):
             find_optimum(SettingTriple, "max")
-
-    @pytest.mark.parametrize("family", [TwoParam, OneParam])
-    @pytest.mark.parametrize("objective", ["max", "min"])
-    def test_repeat_call_returns_the_same_object(self, family, objective):
-        assert find_optimum(family, objective) is find_optimum(family, objective)
-
-    def test_bad_arguments_raise_on_every_call(self):
-        for _ in range(2):
-            with pytest.raises(ValueError, match="objective must be 'max' or 'min'"):
-                find_optimum(TwoParam, "extremal")
-            with pytest.raises(ValueError, match="objective must be 'max' or 'min'"):
-                find_optimum(TwoParam, ["max"])
-            with pytest.raises(ValueError, match="family must be the TwoParam or OneParam"):
-                find_optimum(SettingTriple, "max")
-            # checked before the memo, which could not hash a list
-            with pytest.raises(ValueError, match="family must be the TwoParam or OneParam"):
-                find_optimum([TwoParam], "max")
+        with pytest.raises(ValueError, match="family must be the TwoParam or OneParam"):
+            find_optimum([TwoParam], "max")
 
 
 class TestSweepSurface:
