@@ -159,7 +159,8 @@ def bell_decompose(vector) -> BellDecomposition:
     if v.shape != (4,):
         raise ValueError(f"expected a 4-vector, got shape {v.shape}")
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > UNIT_NORM_TOL:
+    # written so that a nan norm fails too
+    if not abs(norm - 1.0) <= UNIT_NORM_TOL:
         raise ValueError(f"expected a unit vector, got norm {norm:.12g}")
     amps = np.array([np.vdot(b.vector, v) for b in BELL_BASIS_ORDER])
     recon = sum(a * b.vector for a, b in zip(amps, BELL_BASIS_ORDER))
@@ -214,6 +215,23 @@ def _family(family) -> tuple:
     raise ValueError("family must be the TwoParam or OneParam class")
 
 
+def _search_grid(extremal, n_params: int) -> tuple[np.ndarray, np.ndarray]:
+    """The search axis in degrees and ``extremal`` over its open n-D grid.
+
+    Only the rows whose first parameter is <= 0 are evaluated; every
+    other row is the point reflection of one of them, since the closed
+    forms are even under negating all family parameters, bit for bit
+    (see ``find_optimum``).
+    """
+    steps = int(round(180.0 / SEARCH_GRID_STEP_DEG)) + 1
+    axis_deg = np.linspace(-90.0, 90.0, steps)
+    axis = np.radians(axis_deg)
+    # open axes: each per-axis cosine is taken on the axis, not on the grid
+    low = extremal(*np.meshgrid(axis[:steps // 2 + 1], *[axis] * (n_params - 1),
+                                indexing="ij", sparse=True))
+    return axis_deg, np.concatenate((low, np.flip(low[:-1])))
+
+
 def find_optimum(family, objective: str = "max") -> Optimum:
     """Search a measurement family for the extremal eigenvalue.
 
@@ -223,6 +241,14 @@ def find_optimum(family, objective: str = "max") -> Optimum:
     the extremum (symmetry partners) are all reported; the canonical one
     minimizes the sum of absolute parameters, ties broken
     lexicographically.
+
+    The grid is evaluated only where the first parameter is <= 0, and
+    the other half is filled by reflecting it through the origin. That
+    is exact, not approximate: the axis holds multiples of 0.5 degrees,
+    so radians(-x) == -radians(x); cosine is even; exp(-ix) is the exact
+    conjugate of exp(ix), and IEEE rounding is symmetric in sign, so
+    conjugate inputs give the conjugate of 4uv - (u+v-1)^2 and the same
+    modulus. Every lambda at -p is the float at p, bit for bit.
     """
     if objective not in ("max", "min"):
         raise ValueError(f"objective must be 'max' or 'min', got {objective!r}")
@@ -234,12 +260,7 @@ def find_optimum(family, objective: str = "max") -> Optimum:
         cf = closed_form(*params)
         return pick(pick(cf.lambda1, cf.lambda2), pick(cf.lambda3, cf.lambda4))
 
-    steps = int(round(180.0 / SEARCH_GRID_STEP_DEG)) + 1
-    axis_deg = np.linspace(-90.0, 90.0, steps)
-    # open axes: each per-axis cosine is taken on the axis, not on the grid
-    values = extremal(*np.meshgrid(*[np.radians(axis_deg)] * len(lead), indexing="ij",
-                                   sparse=True))
-
+    axis_deg, values = _search_grid(extremal, len(lead))
     best = pick.reduce(values, axis=None)
     tie = np.argwhere(np.abs(values - best) <= 1e-9)
     candidates_deg = tuple(tuple(float(axis_deg[k]) for k in idx) for idx in tie)

@@ -51,7 +51,10 @@ class SettingTriple:
 
     def __post_init__(self):
         for name in ("t1", "t2", "t3"):
-            _check_angle(getattr(self, name), name)
+            value = getattr(self, name)
+            angle = _check_angle(value, name)
+            if angle is not value:  # a str, an int or a numpy scalar: keep the float
+                object.__setattr__(self, name, angle)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.t1, self.t2, self.t3)

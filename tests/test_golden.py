@@ -5,10 +5,15 @@ the summary lines were recorded from the row-by-row writer, before
 datasets became column-major, so any change to a dataset byte or a
 summary line fails here. ``fit --input`` reads ``sw.csv``, written first
 by the README's sweep; it runs in its own directory, since the JSON
-metadata records the input path.
+metadata records the input path. The stdout of demos 01 and 02 is
+pinned the same way, recorded before ``find_optimum`` (which demo 01
+calls for both families and both objectives) began to reflect half its
+search grid.
 """
 
 import hashlib
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -91,3 +96,19 @@ def test_dataset_bytes_and_summary(tmp_path, monkeypatch, capsys, name, fmt):
     digest = hashlib.sha256((tmp_path / f"out.{fmt}").read_bytes()).hexdigest()
     assert digest == DATASET_SHA256[f"{name}.{fmt}"]
     assert capsys.readouterr().out == SUMMARIES[name]
+
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+DEMO_STDOUT_SHA256 = {
+    "01_spectral_bounds.py": "ef5d784c5cd710422ede9a59aea9d6b992f099785aafd342a0710b51593481e4",
+    "02_classical_vs_quantum.py":
+        "f11a39cd14a9bbad55eda42e07aef3210407fdec728b04ec0b71c3d1b5098bb8",
+}
+
+
+@pytest.mark.parametrize("demo", list(DEMO_STDOUT_SHA256))
+def test_demo_stdout(capsys, demo):
+    runpy.run_path(str(DEMOS / demo), run_name="__main__")
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == DEMO_STDOUT_SHA256[demo]

@@ -8,7 +8,8 @@ every score, distribution and sweep row is checked against that
 operator or against the single-point functions; the two-parameter
 closed form is checked against that operator's spectrum right next to
 its degenerate points, and its modulus form against the paper's
-seven-cosine radicand. Random mixtures of the 64 deterministic
+seven-cosine radicand; both closed forms are even in their parameters,
+bit for bit. Random mixtures of the 64 deterministic
 strategies check the classical bound.
 """
 
@@ -165,6 +166,29 @@ def test_modulus_equals_seven_cosine_radicand(p, t):
     radicand = (15 + 2 * np.cos(4 * t) - 4 * np.cos(2 * (t - 2 * p)) - 4 * np.cos(2 * (2 * t - p))
                 + 2 * np.cos(4 * (t - p)) + 2 * np.cos(4 * p) - 4 * np.cos(2 * (t + p)))
     assert abs(abs(4 * u * v - (u + v - 1) ** 2) ** 2 - radicand) <= TOL
+
+
+# find_optimum's 0.5-degree search points, in radians, and random finite angles
+reflected_angles = (st.integers(-180, 180).map(lambda k: np.radians(0.5 * k))
+                    | st.floats(-1e6, 1e6))
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.lists(st.tuples(reflected_angles, reflected_angles), min_size=1, max_size=20))
+def test_closed_forms_even_bit_for_bit(points):
+    """Negating every family parameter gives the same lambdas, as int64 bits,
+    at a point and over an array: find_optimum reflects half its grid on this."""
+    p, t = np.array(points).T
+
+    def bits(cf):
+        return cf.as_array().view(np.int64)
+
+    assert np.array_equal(bits(closed_form_two_param(-p, -t)), bits(closed_form_two_param(p, t)))
+    assert np.array_equal(bits(closed_form_one_param(-t)), bits(closed_form_one_param(t)))
+    assert np.array_equal(bits(closed_form_two_param(-float(p[0]), -float(t[0]))),
+                          bits(closed_form_two_param(float(p[0]), float(t[0]))))
+    assert np.array_equal(bits(closed_form_one_param(-float(t[0]))),
+                          bits(closed_form_one_param(float(t[0]))))
 
 
 @settings(deadline=None, max_examples=25)

@@ -20,7 +20,8 @@ from qorient import (
     numeric_spectrum,
     sweep_surface,
 )
-from qorient.spectra import MAX_GRID_POINTS, _family_axis
+from qorient import spectra
+from qorient.spectra import MAX_GRID_POINTS, _family_axis, _search_grid
 
 DEG = np.pi / 180.0
 
@@ -168,6 +169,15 @@ class TestBellDecompose:
         with pytest.raises(ValueError, match="unit"):
             bell_decompose(np.array([1.0, 1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, complex(np.nan, 0.0), complex(0.0, np.nan)])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_nan_rejected(self, slot, bad):
+        v = BellState.PHI_PLUS.vector.copy()
+        v[slot] = bad
+        for refuse in (bell_decompose, bell_content_label):
+            with pytest.raises(ValueError, match="^expected a unit vector, got norm nan$"):
+                refuse(v)
+
     def test_middle_eigenvectors_span_psi_plus_phi_minus(self):
         rng = np.random.default_rng(6)
         checked = 0
@@ -248,6 +258,42 @@ class TestFindOptimum:
         grid_max = max(max(ds.column(c)) for c in ("lambda1", "lambda2",
                                                    "lambda3", "lambda4"))
         assert abs(opt.beta - grid_max) < 1e-9
+
+    @pytest.mark.parametrize("objective", ["max", "min"])
+    @pytest.mark.parametrize("closed_form, n_params", [(closed_form_two_param, 2),
+                                                        (closed_form_one_param, 1)])
+    def test_reflected_grid_equals_full_grid(self, closed_form, n_params, objective):
+        pick = np.maximum if objective == "max" else np.minimum
+
+        def extremal(*params):
+            cf = closed_form(*params)
+            return pick(pick(cf.lambda1, cf.lambda2), pick(cf.lambda3, cf.lambda4))
+
+        axis_deg, values = _search_grid(extremal, n_params)
+        full = extremal(*np.meshgrid(*[np.radians(axis_deg)] * n_params, indexing="ij",
+                                     sparse=True))
+        assert values.shape == full.shape == (361,) * n_params
+        assert np.array_equal(values.view(np.int64), full.view(np.int64))
+
+    @pytest.mark.parametrize("family, name, shape", [
+        (TwoParam, "closed_form_two_param", (181, 1)),
+        (OneParam, "closed_form_one_param", (181,)),
+    ])
+    def test_grid_is_evaluated_up_to_zero_only(self, monkeypatch, family, name, shape):
+        closed_form = getattr(spectra, name)
+        firsts = []
+
+        def recording(*params):
+            firsts.append(params[0])
+            return closed_form(*params)
+
+        monkeypatch.setattr(spectra, name, recording)
+        find_optimum(family, "max")
+        grid = [p for p in firsts if np.ndim(p)]
+        # one grid call, on the 181 rows from -90 to 0 degrees; the rest are scalar probes
+        assert len(grid) == 1
+        assert np.shape(grid[0]) == shape
+        assert np.degrees(grid[0]).min() == -90.0 and np.degrees(grid[0]).max() == 0.0
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError, match="objective must be 'max' or 'min'"):

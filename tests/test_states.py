@@ -1,5 +1,7 @@
 """Projectors, polarization kets, Bell states and noisy mixtures."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,12 @@ class TestSettings:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             SettingTriple(0.0, float("nan"), 1.0)
+
+    def test_angles_are_stored_as_float(self):
+        s = SettingTriple("0.5", np.float32(0.25), 1)
+        assert s.as_tuple() == (0.5, 0.25, 1.0)
+        assert [type(t) for t in s.as_tuple()] == [float] * 3
+        assert s.as_degrees() == (math.degrees(0.5), math.degrees(0.25), math.degrees(1.0))
 
 
 class TestProjector:
