@@ -22,7 +22,6 @@ from .linalg import (
     IDENTITY_2,
     IDENTITY_4,
     PAULI_X,
-    PAULI_Y,
     PAULI_Z,
     Spectrum,
     hermitian_eigen,
@@ -77,8 +76,6 @@ from .states import (
     bell_state_density,
     maximally_mixed,
     noisy_phi_plus,
-    polarization_ket,
-    projector,
     pure_state,
     superpose,
 )
@@ -106,7 +103,6 @@ __all__ = [
     "OneParam",
     "Optimum",
     "PAULI_X",
-    "PAULI_Y",
     "PAULI_Z",
     "PURE_MAX_BETA",
     "Parametrization",
@@ -141,8 +137,6 @@ __all__ = [
     "noisy_phi_plus",
     "numeric_spectrum",
     "outcome_distribution",
-    "polarization_ket",
-    "projector",
     "pure_state",
     "run_game",
     "sample_trial",

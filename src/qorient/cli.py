@@ -41,6 +41,11 @@ from .states import (
 )
 
 MIN_STATISTICAL_SAMPLES = 100
+# run_game peaks near 64 B per trial (122 MiB at 2e6), so this keeps a run
+# near the grid cap's ~190 MiB
+MAX_TRIALS = 3_000_000
+# below 2**53, so every count of a CountTable is an exact float
+MAX_N_PER_PAIR = 10**15
 DEFAULT_SETTINGS_DEG = (0.0, 120.0, -120.0)
 GRID_HELP_2D = (f"points per axis over [-90, 90] degrees (default: 181; at least 2, and "
                 f"at most {MAX_GRID_POINTS} grid points in all, so {math.isqrt(MAX_GRID_POINTS)} "
@@ -251,6 +256,8 @@ def cmd_simulate(args) -> int:
     if args.trials < MIN_STATISTICAL_SAMPLES:
         raise ValueError(f"--trials must be >= {MIN_STATISTICAL_SAMPLES} for a "
                          "meaningful estimate")
+    if args.trials > MAX_TRIALS:
+        raise ValueError(f"--trials must be <= {MAX_TRIALS}, got {args.trials}")
     _require_seed(args)
     state = parse_state(args.state)
     settings = _settings_from_args(args)
@@ -273,6 +280,8 @@ def cmd_counts(args) -> int:
     if args.n_per_pair < MIN_STATISTICAL_SAMPLES:
         raise ValueError(f"--n-per-pair must be >= {MIN_STATISTICAL_SAMPLES} for a "
                          "meaningful reconstruction")
+    if args.n_per_pair > MAX_N_PER_PAIR:
+        raise ValueError(f"--n-per-pair must be <= {MAX_N_PER_PAIR}, got {args.n_per_pair}")
     _require_seed(args)
     state = parse_state(args.state)
     settings = _settings_from_args(args)
@@ -411,7 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_state(p)
     add_settings(p)
     p.add_argument("--trials", type=int, default=100000,
-                   help="number of rounds (default: 100000, minimum 100)")
+                   help=f"number of rounds (default: 100000, minimum 100, "
+                        f"maximum {MAX_TRIALS})")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
     add_common(p)
     p.set_defaults(func=cmd_simulate)
@@ -420,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_state(p)
     add_settings(p)
     p.add_argument("--n-per-pair", type=int, default=10000,
-                   help="coincidences per setting pair (default: 10000, minimum 100)")
+                   help=f"coincidences per setting pair (default: 10000, minimum 100, "
+                        f"maximum {MAX_N_PER_PAIR})")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
     add_common(p)
     p.set_defaults(func=cmd_counts)

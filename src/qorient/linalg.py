@@ -1,12 +1,13 @@
 """Dense complex linear algebra for 2x2 and 4x4 operators.
 
 Everything the rest of the package touches is a small complex matrix:
-single-qubit projectors, two-qubit density matrices, and the game
-operator. Products, Kronecker products and traces are plain numpy;
-this module holds the Pauli constants, the input checks (shape,
-dimension, finiteness, Hermiticity) and a Hermitian eigensolver, a
-validating front end to ``numpy.linalg.eigh`` that also takes whole
-stacks of matrices. No attempt is made to scale past dimension 4.
+two-qubit density matrices and the game operator. Products, Kronecker
+products and traces are plain numpy; this module holds the Pauli
+constants, the one Hermitian-matrix check (shape, dimension,
+finiteness, Hermiticity) that density matrices and the eigensolver
+share, and a Hermitian eigensolver, a validating front end to
+``numpy.linalg.eigh`` that also takes whole stacks of matrices. No
+attempt is made to scale past dimension 4.
 """
 
 from __future__ import annotations
@@ -28,40 +29,34 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 IDENTITY_2 = _readonly(np.eye(2, dtype=complex))
 IDENTITY_4 = _readonly(np.eye(4, dtype=complex))
 PAULI_X = _readonly(np.array([[0, 1], [1, 0]], dtype=complex))
-PAULI_Y = _readonly(np.array([[0, -1j], [1j, 0]], dtype=complex))
 PAULI_Z = _readonly(np.array([[1, 0], [0, -1]], dtype=complex))
 
 
-def as_matrix(a, dims: tuple[int, ...] = VALID_DIMS, stack: bool = False) -> np.ndarray:
-    """Validate a square complex matrix of an allowed dimension.
+def _hermitian(a, name: str) -> np.ndarray:
+    """``a`` as a complex array, refused unless it is a Hermitian matrix of
+    dimension 2 or 4, or a stack of them (shape ``(..., n, n)``).
 
-    With ``stack`` the input may also be a stack of such matrices,
-    shape ``(..., n, n)``. Returns a complex128 copy-free view when
-    possible. Rejects non-square shapes, unsupported dimensions and
-    non-finite entries.
+    The input is checked in one pass: after the shape, only the
+    Hermiticity defect (max entrywise ``|a - a^dagger|``) is computed,
+    and a nan or inf entry makes that defect nan or inf, so one
+    comparison refuses both faults. Only a refused input is then checked
+    for finiteness, so that the error names the first fault in the order
+    shape, dimension, finite, Hermitian; ``name`` is the caller named by
+    the last of these.
     """
     m = np.asarray(a, dtype=complex)
-    _check_shape(m, dims, stack)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    return m
-
-
-def _check_shape(m: np.ndarray, dims: tuple[int, ...], stack: bool) -> None:
-    """Refuse a non-square shape, then an unsupported dimension."""
-    if (m.ndim != 2 and not (stack and m.ndim > 2)) or m.shape[-1] != m.shape[-2]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[-1] not in dims:
-        raise ValueError(f"unsupported dimension {m.shape[-1]}, expected one of {dims}")
-
-
-def hermiticity_defect(a) -> float:
-    """Max entrywise |a - a^dagger|, over a whole stack of matrices.
-
-    Any nan or inf entry makes the defect nan or inf.
-    """
-    m = np.asarray(a, dtype=complex)
-    return float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
+    if m.shape[-1] not in VALID_DIMS:
+        raise ValueError(f"unsupported dimension {m.shape[-1]}, expected one of {VALID_DIMS}")
+    with np.errstate(invalid="ignore"):  # an inf entry subtracts inf from inf
+        defect = float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
+    if not defect <= HERMITICITY_TOL:
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
+        raise ValueError(f"{name} requires a Hermitian matrix "
+                         f"(defect {defect:.3e} > {HERMITICITY_TOL:.0e})")
+    return m
 
 
 @dataclass(frozen=True)
@@ -88,22 +83,11 @@ def hermitian_eigen(a) -> Spectrum:
     eigenvectors, with ``eigenvectors[..., :, k]`` belonging to
     ``eigenvalues[..., k]``.
 
-    The input is checked in one pass: after the shape, only the
-    Hermiticity defect is computed, and a nan or inf entry makes that
-    defect nan or inf, so one comparison refuses both faults. Only a
-    refused input is then checked for finiteness, so that the error
-    names the first fault in the order shape, dimension, finite,
-    Hermitian. Raises ValueError for each of them.
+    Raises ValueError for a non-square shape, an unsupported dimension,
+    a nan or inf entry, or a Hermiticity defect above HERMITICITY_TOL,
+    checked in one pass (see ``_hermitian``).
     """
-    m = np.asarray(a, dtype=complex)
-    _check_shape(m, VALID_DIMS, stack=True)
-    with np.errstate(invalid="ignore"):  # an inf entry subtracts inf from inf
-        defect = hermiticity_defect(m)
-    if not defect <= HERMITICITY_TOL:
-        as_matrix(m, stack=True)  # raises if an entry is nan or inf
-        raise ValueError("hermitian_eigen requires a Hermitian matrix "
-                         f"(defect {defect:.3e} > {HERMITICITY_TOL:.0e})")
-    vals, vecs = np.linalg.eigh(m)
+    vals, vecs = np.linalg.eigh(_hermitian(a, "hermitian_eigen"))
     # eigh sorts ascending; the Spectrum convention is descending. The
     # outputs are fresh, so read-only views of them need no copy.
     return Spectrum(eigenvalues=_readonly(vals[..., ::-1]),

@@ -31,9 +31,8 @@ from .states import (
     QuantumState,
     SettingTriple,
     TwoParam,
+    _unit_vector,
 )
-
-UNIT_NORM_TOL = 1e-10
 
 # sweep_surface refuses larger grids before allocating anything: the
 # largest dataset, eigs with numeric columns as JSON, peaks near 1.05 KiB
@@ -155,13 +154,7 @@ class BellDecomposition:
 
 def bell_decompose(vector) -> BellDecomposition:
     """Expand a unit 4-vector over the four Bell states."""
-    v = np.asarray(vector, dtype=complex)
-    if v.shape != (4,):
-        raise ValueError(f"expected a 4-vector, got shape {v.shape}")
-    norm = np.linalg.norm(v)
-    # written so that a nan norm fails too
-    if not abs(norm - 1.0) <= UNIT_NORM_TOL:
-        raise ValueError(f"expected a unit vector, got norm {norm:.12g}")
+    v = _unit_vector(vector)
     amps = np.array([np.vdot(b.vector, v) for b in BELL_BASIS_ORDER])
     recon = sum(a * b.vector for a, b in zip(amps, BELL_BASIS_ORDER))
     return BellDecomposition(amplitudes=amps, residual=float(np.linalg.norm(v - recon)))

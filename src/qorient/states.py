@@ -1,10 +1,11 @@
-"""Measurement settings, projectors, polarization kets and two-qubit states.
+"""Measurement settings and two-qubit states.
 
 Conventions fixed here and relied on everywhere else:
 
 * Measurement directions lie in the x-z plane, n(theta) = (sin, 0, cos),
-  so theta = 0 measures along z and the polarization half-angle identity
-  |s(2t)><s(2t)| = projector(+1, 2t) holds exactly.
+  so theta = 0 measures along z, and a polarizer at setting angle 2t
+  passes cos(t)|H> + sin(t)|V> (the half-angle convention, checked in
+  tests/test_properties.py).
 * The two-qubit product basis is ordered |HH>, |HV>, |VH>, |VV> with the
   left factor belonging to Alice.
 * All angles are radians; degrees appear only at file/CLI boundaries.
@@ -20,21 +21,12 @@ import numpy as np
 
 from . import linalg
 
-SIGNS = (+1, -1)
-
-STATE_HERMITICITY_TOL = 1e-10
 STATE_TRACE_TOL = 1e-10
 STATE_EIGENVALUE_FLOOR = -1e-9
 AMPLITUDE_NORM_TOL = 1e-10
 
 
-def _check_sign(sign: int) -> int:
-    if sign not in SIGNS:
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    return sign
-
-
-def _check_angle(value: float, name: str = "angle") -> float:
+def _check_angle(value: float, name: str) -> float:
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite")
@@ -155,10 +147,10 @@ class QuantumState:
     rho: np.ndarray
 
     def __post_init__(self):
-        rho = linalg.as_matrix(self.rho, dims=(4,))
-        defect = linalg.hermiticity_defect(rho)
-        if defect > STATE_HERMITICITY_TOL:
-            raise ValueError(f"density matrix not Hermitian (defect {defect:.3e})")
+        rho = np.asarray(self.rho, dtype=complex)
+        if rho.shape != (4, 4):
+            raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
+        rho = linalg._hermitian(rho, "QuantumState")
         tr = rho.trace()
         if abs(tr - 1.0) > STATE_TRACE_TOL:
             raise ValueError(f"density matrix trace {tr:.12g} != 1")
@@ -177,35 +169,21 @@ class QuantumState:
         return QuantumState(weight * self.rho + (1.0 - weight) * other.rho)
 
 
-def projector(sign: int, theta: float) -> np.ndarray:
-    """Spin projector (I + sign * n(theta).sigma) / 2 in the x-z plane."""
-    _check_sign(sign)
-    theta = _check_angle(theta, "theta")
-    n_dot_sigma = math.sin(theta) * linalg.PAULI_X + math.cos(theta) * linalg.PAULI_Z
-    return 0.5 * (linalg.IDENTITY_2 + sign * n_dot_sigma)
-
-
-def polarization_ket(sign: int, two_theta: float) -> np.ndarray:
-    """Polarization analysis basis vector for the setting angle 2*theta.
-
-    The + output is cos(t)|H> + sin(t)|V>; the - output is the
-    orthogonal sin(t)|H> - cos(t)|V>, with t = two_theta / 2.
-    """
-    _check_sign(sign)
-    t = 0.5 * _check_angle(two_theta, "two_theta")
-    if sign == +1:
-        return np.array([math.cos(t), math.sin(t)], dtype=complex)
-    return np.array([math.sin(t), -math.cos(t)], dtype=complex)
-
-
-def pure_state(vector: np.ndarray) -> QuantumState:
-    """Density matrix |v><v| of a unit 4-vector."""
+def _unit_vector(vector) -> np.ndarray:
+    """``vector`` as a complex 4-vector, refused unless its norm is 1."""
     v = np.asarray(vector, dtype=complex)
     if v.shape != (4,):
         raise ValueError(f"expected a 4-vector, got shape {v.shape}")
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > AMPLITUDE_NORM_TOL:
-        raise ValueError(f"state vector norm {norm:.12g} != 1")
+    # written so that a nan norm fails too
+    if not abs(norm - 1.0) <= AMPLITUDE_NORM_TOL:
+        raise ValueError(f"expected a unit vector, got norm {norm:.12g}")
+    return v
+
+
+def pure_state(vector: np.ndarray) -> QuantumState:
+    """Density matrix |v><v| of a unit 4-vector."""
+    v = _unit_vector(vector)
     return QuantumState(np.outer(v, v.conj()))
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qorient import __version__
-from qorient.cli import _format_value, main, parse_state, write_dataset
+from qorient.cli import MAX_N_PER_PAIR, MAX_TRIALS, _format_value, main, parse_state, write_dataset
 from qorient.spectra import MAX_GRID_POINTS
 from qorient.states import BellState, bell_state_density, noisy_phi_plus
 
@@ -347,6 +347,26 @@ class TestErrorPaths:
         assert run(command + ["--seed", seed]) == 2
         assert capsys.readouterr().err == (f"error: --seed must be a non-negative integer, "
                                            f"got {seed}\n")
+
+    @pytest.mark.parametrize("command, flag, value", [
+        (["simulate"], "--trials", MAX_TRIALS + 1),
+        (["simulate"], "--trials", 2**63),
+        (["simulate"], "--trials", 99999999999999999999),
+        (["counts"], "--n-per-pair", MAX_N_PER_PAIR + 1),
+        (["counts"], "--n-per-pair", 2**63),
+        (["counts"], "--n-per-pair", 99999999999999999999),
+    ])
+    def test_sample_size_above_cap_names_the_flag(self, capsys, command, flag, value):
+        tracemalloc.start()
+        try:
+            code = run(command + [flag, str(value)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cap = MAX_TRIALS if flag == "--trials" else MAX_N_PER_PAIR
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {flag} must be <= {cap}, got {value}\n"
+        assert peak < 2**20  # refused before any sampling
 
     def test_unwritable_output(self, tmp_path, capsys):
         missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"

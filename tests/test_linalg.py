@@ -9,7 +9,6 @@ from qorient.linalg import (
     IDENTITY_2,
     IDENTITY_4,
     PAULI_X,
-    PAULI_Y,
     PAULI_Z,
     hermitian_eigen,
 )
@@ -28,10 +27,6 @@ def random_hermitian(rng, n):
 class TestPauliMatrices:
     def test_pauli_involution(self):
         assert np.allclose(PAULI_X @ PAULI_X, IDENTITY_2, atol=0)
-
-    def test_x_times_z(self):
-        # hand expansion: [[0,1],[1,0]] @ [[1,0],[0,-1]] = [[0,-1],[1,0]] = -i*sigma_y
-        assert np.allclose(PAULI_X @ PAULI_Z, -1j * PAULI_Y, atol=0)
 
 
 class TestHermitianEigen:

@@ -1,6 +1,9 @@
 """Property tests of the correlator core over random settings and mixed states.
 
-The game operator is checked against its definition, the sum of 18
+Outcome distributions of pure states, Bell states included, are checked
+against the Born rule with polarizer kets built here, whose outer
+products are the spin projectors (the half-angle convention). The game
+operator is checked against its definition, the sum of 18
 Kronecker products of spin projectors built here with ``np.kron``, and
 bit for bit against its first complex-table construction, eigenvalues
 included;
@@ -22,6 +25,7 @@ from hypothesis.extra.numpy import arrays
 from qorient import (
     CLASSICAL_BOUND,
     OPP_PAIRS,
+    BellState,
     OneParam,
     QuantumState,
     SettingTriple,
@@ -35,6 +39,8 @@ from qorient import (
     game_operator,
     game_operators,
     numeric_spectrum,
+    outcome_distribution,
+    pure_state,
     sweep_surface,
 )
 from qorient.simulate import _distribution_table
@@ -61,12 +67,54 @@ def mixed_states(draw):
     return QuantumState((rho + rho.conj().T) / 2)
 
 
+@st.composite
+def pure_vectors(draw):
+    """A random unit complex 4-vector."""
+    parts = draw(arrays(np.float64, (2, 4), elements=st.floats(-1, 1)))
+    v = parts[0] + 1j * parts[1]
+    norm = np.linalg.norm(v)
+    assume(norm > 1e-3)
+    return v / norm
+
+
+def projector(sign, theta):
+    """Spin projector (I + sign n(theta).sigma) / 2 in the x-z plane."""
+    return (np.eye(2) + sign * (np.sin(theta) * SIGMA_X + np.cos(theta) * SIGMA_Z)) / 2
+
+
+def polarizer_ket(sign, two_theta):
+    """A polarizer's output at setting angle 2t: cos t|H> + sin t|V> for +,
+    the orthogonal sin t|H> - cos t|V> for -."""
+    t = two_theta / 2
+    return np.array([np.cos(t), np.sin(t)] if sign > 0 else [np.sin(t), -np.cos(t)])
+
+
+@settings(deadline=None)
+@given(angles)
+def test_polarizer_kets_give_spin_projectors(theta):
+    for sign in (+1, -1):
+        ket = polarizer_ket(sign, theta)
+        assert np.abs(np.outer(ket, ket.conj()) - projector(sign, theta)).max() <= TOL
+
+
+@settings(deadline=None)
+@given(pure_vectors(), triples)
+def test_outcome_distribution_is_born_rule(vector, triple):
+    """outcome_distribution over every path pair equals |<k_a (x) k_b|v>|^2,
+    in outcome order (++, +-, -+, --), for a random pure state and the
+    four Bell states."""
+    t = np.array(triple.as_tuple())
+    # product kets[i, j, k]: Alice at t[i], Bob at t[j], outcome pair k
+    kets = np.array([[[np.kron(polarizer_ket(sa, ta), polarizer_ket(sb, tb))
+                       for sa in (+1, -1) for sb in (+1, -1)] for tb in t] for ta in t])
+    for v in (vector, *(b.vector for b in BellState)):
+        got = outcome_distribution(pure_state(v), t[:, None], t[None, :])
+        assert np.abs(got - np.abs(kets.conj() @ v) ** 2).max() <= TOL
+
+
 def reference_operator(triple: SettingTriple) -> np.ndarray:
     """The 18-term definition: equal signs on equal paths, unequal signs on
     the 6 ordered unequal path pairs."""
-    def projector(sign, theta):
-        return (np.eye(2) + sign * (np.sin(theta) * SIGMA_X + np.cos(theta) * SIGMA_Z)) / 2
-
     t = triple.as_tuple()
     op = np.zeros((4, 4), dtype=complex)
     for i in range(3):

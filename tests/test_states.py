@@ -1,4 +1,4 @@
-"""Projectors, polarization kets, Bell states and noisy mixtures."""
+"""Measurement settings, Bell states, density matrices and noisy mixtures."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qorient import hermitian_eigen
-from qorient.linalg import IDENTITY_2
 from qorient.states import (
     BELL_BASIS_ORDER,
     BellState,
@@ -17,8 +16,6 @@ from qorient.states import (
     bell_state_density,
     maximally_mixed,
     noisy_phi_plus,
-    polarization_ket,
-    projector,
     pure_state,
     superpose,
 )
@@ -46,66 +43,6 @@ class TestSettings:
         assert s.as_tuple() == (0.5, 0.25, 1.0)
         assert [type(t) for t in s.as_tuple()] == [float] * 3
         assert s.as_degrees() == (math.degrees(0.5), math.degrees(0.25), math.degrees(1.0))
-
-
-class TestProjector:
-    def test_plus_along_z(self):
-        assert np.allclose(projector(+1, 0.0), np.diag([1.0, 0.0]), atol=1e-15)
-
-    def test_minus_along_z(self):
-        assert np.allclose(projector(-1, 0.0), np.diag([0.0, 1.0]), atol=1e-15)
-
-    def test_plus_along_x(self):
-        # (I + sigma_x)/2 by direct substitution at theta = pi/2
-        assert np.allclose(projector(+1, np.pi / 2), 0.5 * np.ones((2, 2)), atol=1e-15)
-
-    def test_completeness(self):
-        rng = np.random.default_rng(0)
-        for theta in rng.uniform(-10, 10, size=1000):
-            total = projector(+1, theta) + projector(-1, theta)
-            assert np.abs(total - IDENTITY_2).max() < 1e-15
-
-    def test_idempotent_and_orthogonal(self):
-        rng = np.random.default_rng(1)
-        for theta in rng.uniform(-10, 10, size=200):
-            for sign in (+1, -1):
-                p = projector(sign, theta)
-                assert np.abs(p @ p - p).max() < 1e-12
-            cross = projector(+1, theta) @ projector(-1, theta)
-            assert np.abs(cross).max() < 1e-12
-
-    def test_bad_sign_rejected(self):
-        with pytest.raises(ValueError):
-            projector(0, 0.0)
-
-
-class TestPolarizationKet:
-    def test_h_ket(self):
-        assert np.allclose(polarization_ket(+1, 0.0), [1.0, 0.0], atol=0)
-
-    def test_perpendicular_at_zero(self):
-        # sin(0)|H> - cos(0)|V>
-        assert np.allclose(polarization_ket(-1, 0.0), [0.0, -1.0], atol=0)
-
-    def test_diagonal_basis(self):
-        v = polarization_ket(+1, np.pi / 2)
-        assert np.allclose(v, [np.cos(np.pi / 4), np.sin(np.pi / 4)], atol=1e-15)
-
-    def test_outer_product_equals_projector(self):
-        rng = np.random.default_rng(2)
-        for theta in rng.uniform(-10, 10, size=100):
-            ket = polarization_ket(+1, 2 * theta)
-            outer = np.outer(ket, ket.conj())
-            assert np.abs(outer - projector(+1, 2 * theta)).max() < 1e-12
-
-    def test_orthonormal_pair(self):
-        rng = np.random.default_rng(3)
-        for two_theta in rng.uniform(-10, 10, size=100):
-            plus = polarization_ket(+1, two_theta)
-            minus = polarization_ket(-1, two_theta)
-            assert abs(np.vdot(plus, plus) - 1) < 1e-15
-            assert abs(np.vdot(minus, minus) - 1) < 1e-15
-            assert abs(np.vdot(plus, minus)) < 1e-15
 
 
 class TestBellStates:
@@ -155,6 +92,18 @@ class TestQuantumState:
         rho = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="positive"):
             QuantumState(rho)
+
+    @pytest.mark.parametrize("rho, message", [
+        (np.eye(2) / 2, "expected a 4x4 density matrix, got shape (2, 2)"),
+        (np.array([np.eye(4) / 4] * 2), "expected a 4x4 density matrix, got shape (2, 4, 4)"),
+        (np.diag([np.nan, 0.5, 0.25, 0.25]), "matrix entries must be finite"),
+        (np.diag([np.inf, 0.0, 0.0, 0.0]), "matrix entries must be finite"),
+    ], ids=["2x2", "stack", "nan", "inf"])
+    @pytest.mark.filterwarnings("error")  # refused without a RuntimeWarning
+    def test_refused_with_one_value_error(self, rho, message):
+        with pytest.raises(ValueError) as exc:
+            QuantumState(rho)
+        assert str(exc.value) == message and exc.value.__context__ is None
 
     def test_mix(self):
         mixed = bell_state_density(BellState.PHI_PLUS).mix(maximally_mixed(), 0.5)
@@ -209,6 +158,10 @@ class TestPureState:
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError, match="norm"):
             pure_state(np.array([1.0, 1.0, 0.0, 0.0]))
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="^expected a unit vector, got norm nan$"):
+            pure_state(np.array([np.nan, 0.0, 0.0, 0.0]))
 
     def test_bell_basis_order_is_canonical(self):
         assert [b.value for b in BELL_BASIS_ORDER] == ["phi+", "phi-", "psi+", "psi-"]
