@@ -41,8 +41,9 @@ from .states import (
 )
 
 MIN_STATISTICAL_SAMPLES = 100
-# run_game peaks near 64 B per trial (122 MiB at 2e6), so this keeps a run
-# near the grid cap's ~190 MiB
+# run_game holds one byte per trial plus a fixed ~3.3 MiB chunk, so this cap
+# bounds run time, not memory: about 60-75 ns per trial on a 2-vCPU host,
+# so 0.2 s at the cap
 MAX_TRIALS = 3_000_000
 # below 2**53, so every count of a CountTable is an exact float
 MAX_N_PER_PAIR = 10**15
@@ -421,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_settings(p)
     p.add_argument("--trials", type=int, default=100000,
                    help=f"number of rounds (default: 100000, minimum 100, "
-                        f"maximum {MAX_TRIALS})")
+                        f"maximum {MAX_TRIALS}, which bounds run time; memory "
+                        "stays near one byte per round)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
     add_common(p)
     p.set_defaults(func=cmd_simulate)

@@ -1,9 +1,13 @@
 """Monte Carlo play of the orientation game and synthetic count statistics.
 
 Sampling uses numpy's seedable PCG64 generator, which is stable across
-platforms. Where work splits across setting pairs, each pair gets an
-independent child stream spawned from (seed, pair index), so results do
-not depend on evaluation order.
+platforms. ``run_game`` plays its rounds in fixed chunks from one
+generator, drawn in the same order as one batch of every path a, every
+path b and every uniform, so memory stays at about a byte per round
+while every estimate matches the one-batch draw bit for bit. Where work
+splits across setting pairs, each pair gets an independent child stream
+spawned from (seed, pair index), so results do not depend on evaluation
+order.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ from .states import (
     TwoParam,
     bell_state_density,
 )
+
+# draws per chunk in run_game; one chunk's temporaries take about 3.3 MiB
+_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -73,46 +80,66 @@ def _distribution_table(state: QuantumState, settings: Parametrization) -> np.nd
     return table / table.sum(axis=2, keepdims=True)
 
 
-def _play(state: QuantumState, settings: Parametrization, n: int,
-          rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    """Play n rounds: 0-based paths, outcome signs and success flags, one array each.
+def _exact_count(name: str, value, minimum: int) -> int:
+    """A sample size or seed: a Python or numpy integer of at least minimum, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
-    One batch of uniform path draws, then inverse-cdf outcome draws
-    against the per-pair joint distributions.
-    """
+
+def _outcome_cdf(state: QuantumState, settings: Parametrization) -> np.ndarray:
+    """(9, 4) cumulative outcome distributions, one row per pair index 3*a + b."""
     cdf = np.cumsum(_distribution_table(state, settings).reshape(9, 4), axis=1)
-    cdf /= cdf[:, -1:]
+    return cdf / cdf[:, -1:]
 
-    paths_a = rng.integers(0, 3, size=n)
-    paths_b = rng.integers(0, 3, size=n)
-    u = rng.random(n)
-    k = (u[:, None] >= cdf[paths_a * 3 + paths_b]).sum(axis=1)
 
-    sign_a = 1 - 2 * (k >> 1)
-    sign_b = 1 - 2 * (k & 1)
-    success = np.where(paths_a == paths_b, sign_a == sign_b, sign_a != sign_b)
-    return paths_a, paths_b, sign_a, sign_b, success
+def _outcomes(cdf: np.ndarray, pair: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-cdf outcome index k per round: 2*[A went -1] + [B went -1]."""
+    return (u[:, None] >= cdf[pair]).sum(axis=1)
 
 
 def sample_trial(state: QuantumState, settings: Parametrization,
                  rng: np.random.Generator) -> TrialRecord:
-    """Play one round: uniform random paths, Born-rule outcome pair."""
-    path_a, path_b, sign_a, sign_b, success = (int(x[0]) for x in _play(state, settings, 1, rng))
-    return TrialRecord(path_a=path_a + 1, path_b=path_b + 1,
-                       outcome_a=sign_a, outcome_b=sign_b, success=bool(success))
+    """Play one round: uniform random paths, Born-rule outcome pair.
+
+    Draws path a, path b and one uniform from ``rng``, in that order.
+    """
+    path_a, path_b = (int(p) for p in rng.integers(0, 3, size=2))
+    k = int(_outcomes(_outcome_cdf(state, settings), np.array([3 * path_a + path_b]),
+                      rng.random(1))[0])
+    sign_a, sign_b = 1 - 2 * (k >> 1), 1 - 2 * (k & 1)
+    return TrialRecord(path_a=path_a + 1, path_b=path_b + 1, outcome_a=sign_a,
+                       outcome_b=sign_b, success=(sign_a == sign_b) == (path_a == path_b))
 
 
 def run_game(state: QuantumState, settings: Parametrization, n_trials: int,
              seed: int) -> GameEstimate:
     """Estimate the success probability over many independent rounds.
 
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed. One generator draws every path a,
+    then every path b, then every uniform, each in chunks of ``_CHUNK``;
+    numpy gives the same stream in chunks as in one call. Between the
+    path loops only the pair index 3*a + b is kept, one byte per round,
+    and the rounds are then played chunk by chunk into a running win
+    count, so a run holds n_trials bytes plus one chunk's temporaries.
     """
-    n_trials = int(n_trials)
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    success = _play(state, settings, n_trials, np.random.default_rng(seed))[-1]
-    rate = float(success.mean())
+    n_trials = _exact_count("n_trials", n_trials, 1)
+    seed = _exact_count("seed", seed, 0)
+    cdf = _outcome_cdf(state, settings)
+    rng = np.random.default_rng(seed)
+    pair = np.empty(n_trials, dtype=np.uint8)
+    chunks = [pair[start:start + _CHUNK] for start in range(0, n_trials, _CHUNK)]
+    for chunk in chunks:
+        chunk[:] = 3 * rng.integers(0, 3, size=chunk.size)
+    for chunk in chunks:
+        chunk[:] = chunk + rng.integers(0, 3, size=chunk.size)
+    wins = 0
+    for chunk in chunks:
+        k = _outcomes(cdf, chunk, rng.random(chunk.size))
+        # a round is won with equal directions (k = 0 or 3) exactly when
+        # the paths are equal (pair index 0, 4 or 8)
+        wins += int(np.count_nonzero(((k == 0) | (k == 3)) == (chunk % 4 == 0)))
+    rate = wins / n_trials
     stderr = float(np.sqrt(rate * (1.0 - rate) / n_trials))
     return GameEstimate(success_rate=rate, stderr=stderr, n_trials=n_trials, seed=seed)
 
@@ -152,9 +179,8 @@ def synth_counts(state: QuantumState, settings: Parametrization,
     distribution on an independent substream of ``seed``, keyed by the
     pair's row-major index.
     """
-    n_tot_per_pair = int(n_tot_per_pair)
-    if n_tot_per_pair < 1:
-        raise ValueError(f"n_tot_per_pair must be >= 1, got {n_tot_per_pair}")
+    n_tot_per_pair = _exact_count("n_tot_per_pair", n_tot_per_pair, 1)
+    seed = _exact_count("seed", seed, 0)
     table = _distribution_table(state, settings)
     streams = np.random.SeedSequence(seed).spawn(9)
     counts = np.empty((3, 3, 4), dtype=np.int64)

@@ -8,7 +8,8 @@ by the README's sweep; it runs in its own directory, since the JSON
 metadata records the input path. The stdout of demos 01 and 02 is
 pinned the same way, recorded before ``find_optimum`` (which demo 01
 calls for both families and both objectives) began to reflect half its
-search grid.
+search grid. Demos 03 and 04 were recorded before ``run_game`` streamed
+its rounds in chunks; demo 03 plays 1e6 rounds per state, 16 chunks.
 """
 
 import hashlib
@@ -104,6 +105,8 @@ DEMO_STDOUT_SHA256 = {
     "01_spectral_bounds.py": "ef5d784c5cd710422ede9a59aea9d6b992f099785aafd342a0710b51593481e4",
     "02_classical_vs_quantum.py":
         "f11a39cd14a9bbad55eda42e07aef3210407fdec728b04ec0b71c3d1b5098bb8",
+    "03_play_the_game.py": "1ab53848046987c1da1a70098e32ed1eac93409a6c04a54f1980b7dc4f7f5eea",
+    "04_noisy_source_fit.py": "7a555974dcfdf2e39a9edaefd2163ab84932f518d7085a0940d837628ed54a77",
 }
 
 

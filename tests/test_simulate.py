@@ -1,5 +1,8 @@
 """Monte Carlo game play, synthetic counts and noise fitting."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,11 +23,34 @@ from qorient import (
     noisy_phi_plus,
     run_game,
     sample_trial,
+    superpose,
     synth_counts,
 )
+from qorient.simulate import _CHUNK, GameEstimate, _distribution_table
 
 PHI_PLUS = bell_state_density(BellState.PHI_PLUS)
 MIXED = maximally_mixed()
+
+STREAM_STATES = {
+    "psi-": bell_state_density(BellState.PSI_MINUS),
+    "noisy:0.9": noisy_phi_plus(0.9),
+    "superpose:psi+,phi-,0.6": superpose(BellState.PSI_PLUS, BellState.PHI_MINUS, 0.6, 0.8),
+}
+STREAM_SETTINGS = SettingTriple(0.3, -1.1, 2.0)
+
+
+def one_shot_rounds(state, settings, n, rng):
+    """Reference play: every path a, then every path b, then every uniform, in one batch each."""
+    cdf = np.cumsum(_distribution_table(state, settings).reshape(9, 4), axis=1)
+    cdf /= cdf[:, -1:]
+    paths_a = rng.integers(0, 3, size=n)
+    paths_b = rng.integers(0, 3, size=n)
+    u = rng.random(n)
+    k = (u[:, None] >= cdf[paths_a * 3 + paths_b]).sum(axis=1)
+    sign_a = 1 - 2 * (k >> 1)
+    sign_b = 1 - 2 * (k & 1)
+    success = np.where(paths_a == paths_b, sign_a == sign_b, sign_a != sign_b)
+    return paths_a, paths_b, sign_a, sign_b, success
 
 
 class TestTrialRecord:
@@ -60,6 +86,16 @@ class TestSampleTrial:
                  sample_trial(MIXED, OPTIMAL_SETTINGS, rng).path_b)
                 for _ in range(200)}
         assert seen == {(i, j) for i in (1, 2, 3) for j in (1, 2, 3)}
+
+    @pytest.mark.parametrize("name", list(STREAM_STATES))
+    def test_records_match_one_shot_reference(self, name):
+        state = STREAM_STATES[name]
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(20):
+            a, b, sa, sb, won = (int(x[0]) for x in
+                                 one_shot_rounds(state, STREAM_SETTINGS, 1, ref_rng))
+            assert sample_trial(state, STREAM_SETTINGS, rng) == TrialRecord(
+                path_a=a + 1, path_b=b + 1, outcome_a=sa, outcome_b=sb, success=bool(won))
 
     def test_long_run_success_rate_mixed(self):
         rng = np.random.default_rng(2)
@@ -98,6 +134,43 @@ class TestRunGame:
         with pytest.raises(ValueError):
             run_game(PHI_PLUS, OPTIMAL_SETTINGS, 0, 0)
 
+    @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+    @pytest.mark.parametrize("name", list(STREAM_STATES))
+    def test_chunks_match_one_shot_reference(self, name, n):
+        state = STREAM_STATES[name]
+        for seed in (0, 7, 123):
+            success = one_shot_rounds(state, STREAM_SETTINGS, n, np.random.default_rng(seed))[-1]
+            rate = float(success.mean())
+            want = GameEstimate(success_rate=rate, stderr=float(np.sqrt(rate * (1 - rate) / n)),
+                                n_trials=n, seed=seed)
+            assert run_game(state, STREAM_SETTINGS, n, seed) == want
+
+    def test_peak_memory_is_about_a_byte_per_round(self):
+        # a one-batch draw peaks near 61 MiB here
+        tracemalloc.start()
+        try:
+            run_game(PHI_PLUS, OPTIMAL_SETTINGS, 1_000_003, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
+    def test_numpy_integers_accepted(self):
+        assert (run_game(PHI_PLUS, OPTIMAL_SETTINGS, np.int64(500), np.uint32(3))
+                == run_game(PHI_PLUS, OPTIMAL_SETTINGS, 500, 3))
+
+    @pytest.mark.parametrize("n", [2.7, True, float("nan"), 100.0, "100", -5])
+    def test_rejects_inexact_trial_counts(self, n):
+        message = f"n_trials must be an integer >= 1, got {n!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_game(PHI_PLUS, OPTIMAL_SETTINGS, n, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, False, None])
+    def test_rejects_bad_seed(self, seed):
+        message = f"seed must be an integer >= 0, got {seed!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_game(PHI_PLUS, OPTIMAL_SETTINGS, 100, seed)
+
 
 class TestSynthCounts:
     def test_totals_per_pair(self):
@@ -122,6 +195,19 @@ class TestSynthCounts:
         a = synth_counts(PHI_PLUS, OPTIMAL_SETTINGS, 1000, 9)
         b = synth_counts(PHI_PLUS, OPTIMAL_SETTINGS, 1000, 9)
         assert np.array_equal(a.counts, b.counts)
+
+    @pytest.mark.parametrize("n", [100.9, True, float("nan"), 0])
+    def test_rejects_inexact_pair_totals(self, n):
+        message = f"n_tot_per_pair must be an integer >= 1, got {n!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            synth_counts(PHI_PLUS, OPTIMAL_SETTINGS, n, 0)
+
+    def test_rejects_bad_seed(self):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
+            synth_counts(PHI_PLUS, OPTIMAL_SETTINGS, 100, -1)
+
+    def test_expected_counts_take_a_float_total(self):
+        assert expected_counts(MIXED, OPTIMAL_SETTINGS, 100.5).total(1, 2) == pytest.approx(100.5)
 
     def test_count_table_validation(self):
         with pytest.raises(ValueError, match="shape"):
