@@ -36,7 +36,7 @@ from .states import (
     bell_state_density,
 )
 
-# draws per chunk in run_game; one chunk's temporaries take about 3.3 MiB
+# draws per chunk in run_game; one chunk's temporaries take about 1.6 MiB
 _CHUNK = 65536
 
 
@@ -94,8 +94,16 @@ def _outcome_cdf(state: QuantumState, settings: Parametrization) -> np.ndarray:
 
 
 def _outcomes(cdf: np.ndarray, pair: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-cdf outcome index k per round: 2*[A went -1] + [B went -1]."""
-    return (u[:, None] >= cdf[pair]).sum(axis=1)
+    """Inverse-cdf outcome index k per round: 2*[A went -1] + [B went -1].
+
+    k counts the cdf entries of the round's row that u reaches. Three
+    compares suffice: ``_outcome_cdf`` divides each row by its own last
+    entry, so that entry is exactly 1.0, and u lies in [0, 1).
+    """
+    k = (u >= cdf[:, 0].take(pair)).view(np.uint8)
+    k += (u >= cdf[:, 1].take(pair)).view(np.uint8)
+    k += (u >= cdf[:, 2].take(pair)).view(np.uint8)
+    return k
 
 
 def sample_trial(state: QuantumState, settings: Parametrization,
@@ -193,9 +201,13 @@ def synth_counts(state: QuantumState, settings: Parametrization,
 
 def expected_counts(state: QuantumState, settings: Parametrization,
                     n_tot_per_pair: float) -> CountTable:
-    """Exact expected counts (no sampling): N_TOT times each probability."""
-    if n_tot_per_pair <= 0:
-        raise ValueError(f"n_tot_per_pair must be positive, got {n_tot_per_pair}")
+    """Exact expected counts (no sampling): N_TOT times each probability.
+
+    ``n_tot_per_pair`` may be any finite positive real number, never a bool.
+    """
+    if (isinstance(n_tot_per_pair, (bool, np.bool_))
+            or not 0 < n_tot_per_pair < math.inf):
+        raise ValueError(f"n_tot_per_pair must be a finite number > 0, got {n_tot_per_pair!r}")
     table = _distribution_table(state, settings)
     return CountTable(settings=settings.settings(), counts=table * float(n_tot_per_pair))
 

@@ -8,9 +8,10 @@ Each mutant is one text replacement in one file of ``src/qorient``. For
 each, the script copies ``src/`` to a temporary directory, replaces the
 old text (which must occur exactly once, so a stale mutant is an error,
 never silently dropped), and runs the mutant's tests against the copy
-with a fixed hypothesis seed. The mutant is killed when at least one of
-those tests fails. The script exits nonzero unless every mutant is
-killed.
+with a fixed hypothesis seed and the ``mutants`` profile of
+``tests/conftest.py``, which skips shrinking. The mutant is killed when
+at least one of those tests fails. The script exits nonzero unless every
+mutant is killed.
 
 Removing or weakening a mutant loosens the suite. A change that rewrites
 a mutated line updates its mutant in the same change, and a new property
@@ -135,6 +136,18 @@ MUTANTS = (
            "    path_b, path_a = (int(p) for p in rng.integers(0, 3, size=2))\n",
            ("test_simulate.py::TestSampleTrial",),
            "sample_trial gives Alice the second path draw"),
+    Mutant("third-compare-reads-second-column", "simulate.py",
+           "cdf[:, 2].take(pair)", "cdf[:, 1].take(pair)",
+           ("test_properties.py::test_outcomes_match_full_compare",),
+           "a draw between the second and third cdf entries gives -- instead of -+"),
+    Mutant("first-compare-strict", "simulate.py",
+           "(u >= cdf[:, 0].take(pair))", "(u > cdf[:, 0].take(pair))",
+           ("test_properties.py::test_outcomes_match_full_compare",),
+           "a draw equal to the first cdf entry stays in outcome ++"),
+    Mutant("third-compare-dropped", "simulate.py",
+           "    k += (u >= cdf[:, 2].take(pair)).view(np.uint8)\n", "",
+           ("test_properties.py::test_outcomes_match_full_compare",),
+           "outcome -- is never drawn"),
 )
 
 
@@ -154,7 +167,7 @@ def check(mutant: Mutant, workdir: Path) -> tuple[str, float]:
     # pytest puts its ini pythonpath (the unmutated src/) ahead of
     # PYTHONPATH, so point it at the copy as well
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-           "--hypothesis-seed=0", "-o", f"pythonpath={src}",
+           "--hypothesis-seed=0", "--hypothesis-profile=mutants", "-o", f"pythonpath={src}",
            *(str(ROOT / "tests" / t) for t in mutant.tests)]
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     start = time.perf_counter()

@@ -12,8 +12,9 @@ operator or against the single-point functions; the two-parameter
 closed form is checked against that operator's spectrum right next to
 its degenerate points, and its modulus form against the paper's
 seven-cosine radicand; both closed forms are even in their parameters,
-bit for bit. Random mixtures of the 64 deterministic
-strategies check the classical bound.
+bit for bit. The sampler's three-compare outcome index is checked
+against the four-entry count, tie draws included. Random mixtures of
+the 64 deterministic strategies check the classical bound.
 """
 
 import numpy as np
@@ -30,6 +31,7 @@ from qorient import (
     QuantumState,
     SettingTriple,
     TwoParam,
+    bell_state_density,
     beta_from_counts,
     beta_value,
     closed_form_one_param,
@@ -38,12 +40,13 @@ from qorient import (
     expected_counts,
     game_operator,
     game_operators,
+    noisy_phi_plus,
     numeric_spectrum,
     outcome_distribution,
     pure_state,
     sweep_surface,
 )
-from qorient.simulate import _distribution_table
+from qorient.simulate import _distribution_table, _outcome_cdf, _outcomes
 
 TOL = 1e-12
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -190,6 +193,49 @@ def test_distribution_rows_are_probabilities(state, triple):
 def test_expected_counts_reproduce_beta(state, triple, n_per_pair):
     recon = beta_from_counts(expected_counts(state, triple, n_per_pair))
     assert abs(recon.beta - beta_value(state, triple).beta) <= TOL
+
+
+@st.composite
+def game_states(draw):
+    """A Bell state, a random pure state, noisy phi+ or a random mixture."""
+    kind = draw(st.sampled_from(("bell", "pure", "noisy", "mixed")))
+    if kind == "bell":
+        return bell_state_density(draw(st.sampled_from(BellState)))
+    if kind == "pure":
+        return pure_state(draw(pure_vectors()))
+    if kind == "noisy":
+        return noisy_phi_plus(draw(st.floats(0, 1)))
+    return draw(mixed_states())
+
+
+@st.composite
+def tied_triples(draw):
+    """Setting triples whose angles often coincide, so that some outcome
+    probabilities vanish and cdf rows hold equal entries."""
+    first = draw(angles)
+    rest = (draw(st.one_of(st.just(first), angles)) for _ in range(2))
+    return SettingTriple(first, *rest)
+
+
+# one round: pair index, a uniform draw, and a cdf column whose entry
+# replaces the uniform when the flag is set
+rounds = st.tuples(st.integers(0, 8), st.floats(0, 1, exclude_max=True),
+                   st.integers(0, 2), st.booleans())
+
+
+@settings(deadline=None)
+@given(game_states(), tied_triples(), st.lists(rounds, min_size=1, max_size=50))
+def test_outcomes_match_full_compare(state, triple, draws):
+    """The three-compare outcome index equals the count of all four cdf
+    entries that u reaches, for uniform draws and for draws that hit a
+    cdf entry exactly; the last cdf entry is exactly 1.0."""
+    cdf = _outcome_cdf(state, triple)
+    assert np.all(cdf[:, -1] == 1.0)
+    pair = np.array([p for p, *_ in draws], dtype=np.uint8)
+    u = np.array([cdf[p, col] if tie else x for p, x, col, tie in draws])
+    u = np.where(u < 1.0, u, 0.5)  # a cdf entry may be 1.0; draws lie in [0, 1)
+    want = (u[:, None] >= cdf[pair]).sum(axis=1)
+    assert np.array_equal(_outcomes(cdf, pair, u).astype(int), want)
 
 
 # the only points of [-90, 90]^2 degrees where lambda3 == lambda4

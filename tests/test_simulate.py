@@ -208,6 +208,15 @@ class TestSynthCounts:
 
     def test_expected_counts_take_a_float_total(self):
         assert expected_counts(MIXED, OPTIMAL_SETTINGS, 100.5).total(1, 2) == pytest.approx(100.5)
+        table = expected_counts(MIXED, OPTIMAL_SETTINGS, np.float64(1000.0))
+        assert table.total(2, 3) == pytest.approx(1000.0)
+
+    @pytest.mark.parametrize("n", [float("nan"), float("inf"), float("-inf"),
+                                   True, np.True_, 0, -1])
+    def test_expected_counts_reject_bad_totals(self, n):
+        message = f"n_tot_per_pair must be a finite number > 0, got {n!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            expected_counts(MIXED, OPTIMAL_SETTINGS, n)
 
     def test_count_table_validation(self):
         with pytest.raises(ValueError, match="shape"):
