@@ -12,7 +12,6 @@ counts, and white-noise fitting for imperfect sources.
 
 from .classical import (
     DeterministicStrategy,
-    classical_beta,
     classical_maximum,
     classical_minimum,
     classical_success_bound,
@@ -118,7 +117,6 @@ __all__ = [
     "beta_from_counts",
     "beta_grid",
     "beta_value",
-    "classical_beta",
     "classical_maximum",
     "classical_minimum",
     "classical_success_bound",

@@ -3,7 +3,8 @@
 A deterministic strategy assigns each player a fixed direction for every
 path. Shared randomness only mixes these 64 extremal strategies, so the
 best deterministic score is the classical bound; brute-force enumeration
-verifies it rather than re-deriving it.
+verifies it rather than re-deriving it. Sign vectors a and b score
+``(9 + a^T M b) / 2`` for the game matrix M: the table is one matrix product.
 """
 
 from __future__ import annotations
@@ -11,9 +12,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .scoring import N_TERMS, OPP_PAIRS
+import numpy as np
+
+from .scoring import GAME_MATRIX, N_TERMS
 
 SIGNS = (+1, -1)
+_SIGN_VECTORS = tuple(itertools.product(SIGNS, repeat=3))
 
 
 @dataclass(frozen=True)
@@ -29,22 +33,13 @@ class DeterministicStrategy:
                 raise ValueError(f"strategy entries must be +1/-1 triples, got {side!r}")
 
 
-def classical_beta(strategy: DeterministicStrategy) -> int:
-    """Deterministic score: same-path matches plus ordered cross-path mismatches."""
-    a, b = strategy.alice, strategy.bob
-    same = sum(1 for i in range(3) if a[i] == b[i])
-    opp = sum(1 for i, j in OPP_PAIRS if a[i] != b[j])
-    return same + opp
-
-
 def enumerate_all() -> list[tuple[DeterministicStrategy, int]]:
     """Score all 64 deterministic strategy pairs, in product order."""
-    out = []
-    for a in itertools.product(SIGNS, repeat=3):
-        for b in itertools.product(SIGNS, repeat=3):
-            s = DeterministicStrategy(alice=a, bob=b)
-            out.append((s, classical_beta(s)))
-    return out
+    s = np.array(_SIGN_VECTORS, dtype=np.int64)
+    scores = (N_TERMS + s @ GAME_MATRIX @ s.T) // 2
+    pairs = itertools.product(_SIGN_VECTORS, repeat=2)
+    return [(DeterministicStrategy(alice=a, bob=b), score)
+            for (a, b), score in zip(pairs, scores.ravel().tolist())]
 
 
 def classical_maximum() -> tuple[int, list[DeterministicStrategy]]:

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .classical import classical_maximum, classical_minimum, classical_success_bound, enumerate_all
+from .classical import classical_success_bound, enumerate_all
 from .scoring import CLASSICAL_BOUND, MIXED_BETA, N_TERMS, PURE_MAX_BETA, beta_value
 from .simulate import (
     beta_from_counts,
@@ -245,11 +245,11 @@ def cmd_classical(args) -> int:
     columns = ("a1", "a2", "a3", "b1", "b2", "b3", "beta")
     rows = [s.alice + s.bob + (score,) for s, score in scored]
     write_dataset(columns, list(zip(*rows)), args, {"strategies": len(rows)})
-    best, argmax = classical_maximum()
-    worst, _ = classical_minimum()
+    scores = [score for _, score in scored]
+    best, worst = max(scores), min(scores)
     _say(args, f"{len(rows)} deterministic strategies; max beta = {best} "
-               f"({len(argmax)} strategies), min beta = {worst}")
-    _say(args, f"classical success bound = {best}/{N_TERMS} = {classical_success_bound():.6f}")
+               f"({scores.count(best)} strategies), min beta = {worst}")
+    _say(args, f"classical success bound = {best}/{N_TERMS} = {best / N_TERMS:.6f}")
     return 0
 
 

@@ -2,10 +2,12 @@
 
 Both players pick one of three paths; the score credits matching
 directions on the same path and opposite directions on different paths.
-The total over the 3 same-path and 6 ordered cross-path terms is the
-Bell-type score beta, with success probability beta / 9. The same score
-is the expectation of a single self-adjoint game operator, which is what
-makes the min-max eigenvalue analysis in :mod:`qorient.spectra` work.
+With ``E_ij`` the correlator of paths i and j, term ij is won with
+probability ``(1 + M_ij E_ij) / 2`` for the sign matrix ``M = 2I - J``,
+so the Bell-type score over the 9 terms is ``beta = 4.5 + <M, E> / 2``,
+with success probability beta / 9. It is the expectation of a single
+self-adjoint game operator, which is what makes the min-max eigenvalue
+analysis in :mod:`qorient.spectra` work.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from .states import Parametrization, QuantumState
 N_TERMS = 9  # 3 same-path + 6 ordered cross-path
 CLASSICAL_BOUND = 7.0
 
-# ordered cross-path index pairs (0-based), the fixed order used by
-# BetaBreakdown.p_opp and the count tables
+# M = 2I - J, the sign of term ij; its -1 entries in row-major order are the
+# ordered cross-path pairs OPP_PAIRS, the order of BetaBreakdown.p_opp
+GAME_MATRIX = 2 * np.eye(3, dtype=np.int64) - 1
 OPP_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
-_OPP_ROWS, _OPP_COLS = (list(k) for k in zip(*OPP_PAIRS))
 
 OPERATOR_TRACE = 18.0  # 18 terms, each a product of two unit-trace projectors
 MIXED_BETA = OPERATOR_TRACE / 4.0  # score of the maximally mixed state, any settings
@@ -53,9 +55,10 @@ class BetaBreakdown:
     success_probability: float
 
     @classmethod
-    def from_terms(cls, p_same, p_opp) -> "BetaBreakdown":
-        p_same = tuple(float(x) for x in p_same)
-        p_opp = tuple(float(x) for x in p_opp)
+    def from_wins(cls, wins) -> "BetaBreakdown":
+        """From the (3, 3) table of per-term win probabilities."""
+        p_same = tuple(wins[GAME_MATRIX > 0].tolist())
+        p_opp = tuple(wins[GAME_MATRIX < 0].tolist())
         beta = sum(p_same) + sum(p_opp)
         return cls(p_same=p_same, p_opp=p_opp, beta=beta,
                    success_probability=beta / N_TERMS)
@@ -108,28 +111,25 @@ def outcome_distribution(state: QuantumState, theta_a, theta_b) -> np.ndarray:
     return (1.0 + _SIGN_A * local_a + _SIGN_B * local_b + _SIGN_A * _SIGN_B * corr) / 4.0
 
 
-def _terms(state: QuantumState, angles) -> tuple[np.ndarray, np.ndarray]:
-    """Same-path (..., 3) and cross-path (..., 6) success probabilities.
+def _wins(state: QuantumState, angles) -> np.ndarray:
+    """Per-term win probabilities ``(1 + M_ij E_ij) / 2``, shape (..., 3, 3).
 
-    With the correlation matrix ``E = N T N^T`` at setting angles of
-    shape (..., 3), ``p_same_i = (1 + E_ii) / 2`` and
-    ``p_opp_ij = (1 - E_ij) / 2`` in OPP_PAIRS order.
+    ``E = N T N^T`` is the correlation matrix at setting angles of shape
+    (..., 3) and M is ``GAME_MATRIX``.
     """
     angles = np.asarray(angles, dtype=float)
     e = correlators(state, angles[..., :, None], angles[..., None, :])
-    p_same = (1.0 + np.diagonal(e, axis1=-2, axis2=-1)) / 2.0
-    p_opp = (1.0 - e[..., _OPP_ROWS, _OPP_COLS]) / 2.0
-    return p_same, p_opp
+    return (1.0 + GAME_MATRIX * e) / 2.0
 
 
 def beta_grid(state: QuantumState, angles) -> np.ndarray:
     """Score at setting angles of shape (..., 3): ``beta_value`` over a grid.
 
-    Equal to ``4.5 + (2 sum_i E_ii - sum_ij E_ij) / 2``, the correlator
-    identity, up to rounding.
+    The same-path wins summed, plus the cross-path wins summed in
+    OPP_PAIRS order. Equal to ``4.5 + <M, E> / 2`` up to rounding.
     """
-    p_same, p_opp = _terms(state, angles)
-    return p_same.sum(axis=-1) + p_opp.sum(axis=-1)
+    wins = _wins(state, angles)
+    return wins[..., GAME_MATRIX > 0].sum(axis=-1) + wins[..., GAME_MATRIX < 0].sum(axis=-1)
 
 
 def game_operators(angles) -> np.ndarray:
@@ -142,7 +142,8 @@ def game_operators(angles) -> np.ndarray:
     trace is 18 for any settings. With N the (..., 3, 2) matrix of x-z
     directions, ``A_i (x) A_j = sum_kl N_ik N_jl sigma_k (x) sigma_l``,
     so the bracket is ``sum_kl K_kl sigma_k (x) sigma_l`` with the 2x2
-    ``K = 2 N^T N - (N^T 1)(N^T 1)^T``.
+    ``K = 2 N^T N - (N^T 1)(N^T 1)^T = N^T M N``, built in the first
+    form: the matmul rounds differently, and G's bits are pinned.
 
     Each entry is 4.5 (on the diagonal) or 0, plus one ``+-K_kl / 2``,
     so G is real. It is returned as complex128 all the same: ``eigh``
@@ -166,5 +167,5 @@ def game_operator(settings: Parametrization) -> np.ndarray:
 
 
 def beta_value(state: QuantumState, settings: Parametrization) -> BetaBreakdown:
-    """Score the state at the given settings, term by term (see ``_terms``)."""
-    return BetaBreakdown.from_terms(*_terms(state, settings.settings().as_tuple()))
+    """Score the state at the given settings, term by term (see ``_wins``)."""
+    return BetaBreakdown.from_wins(_wins(state, settings.settings().as_tuple()))

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scoring import (
+    GAME_MATRIX,
     BetaBreakdown,
     MIXED_BETA,
     N_TERMS,
-    OPP_PAIRS,
     PURE_MAX_BETA,
     beta_grid,
     outcome_distribution,
@@ -215,20 +215,18 @@ def expected_counts(state: QuantumState, settings: Parametrization,
 def beta_from_counts(counts: CountTable) -> BetaBreakdown:
     """Reconstruct the score from coincidence counts.
 
-    Empirical same-direction probability at pair (i, i) is
-    (N_pp + N_mm)/N_TOT; opposite-direction at (i, j) is
-    (N_pm + N_mp)/N_TOT.
+    The win probability of pair (i, j) is (N_pp + N_mm)/N_TOT where the
+    game matrix is +1 (equal paths) and (N_pm + N_mp)/N_TOT where it is
+    -1. The first pair in row-major order with no counts is refused.
     """
     c = counts.counts
-    for i in range(3):
-        if c[i, i].sum() <= 0:
-            raise ValueError(f"empty count total for setting pair ({i + 1}, {i + 1})")
-    for i, j in OPP_PAIRS:
-        if c[i, j].sum() <= 0:
-            raise ValueError(f"empty count total for setting pair ({i + 1}, {j + 1})")
-    p_same = [(c[i, i, 0] + c[i, i, 3]) / c[i, i].sum() for i in range(3)]
-    p_opp = [(c[i, j, 1] + c[i, j, 2]) / c[i, j].sum() for i, j in OPP_PAIRS]
-    return BetaBreakdown.from_terms(p_same, p_opp)
+    totals = c.sum(axis=2)
+    empty = np.argwhere(totals <= 0)
+    if empty.size:
+        i, j = empty[0] + 1
+        raise ValueError(f"empty count total for setting pair ({i}, {j})")
+    wins = np.where(GAME_MATRIX > 0, c[..., 0] + c[..., 3], c[..., 1] + c[..., 2]) / totals
+    return BetaBreakdown.from_wins(wins)
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,23 @@ MUTANTS = (
            "    k += (u >= cdf[:, 2].take(pair)).view(np.uint8)\n", "",
            ("test_properties.py::test_outcomes_match_full_compare",),
            "outcome -- is never drawn"),
+    Mutant("game-matrix-diagonal-one", "scoring.py",
+           "GAME_MATRIX = 2 * np.eye(3, dtype=np.int64) - 1\n",
+           "GAME_MATRIX = np.eye(3, dtype=np.int64) - 1\n",
+           ("test_properties.py::test_beta_is_game_matrix_form", "test_classical.py"),
+           "same-path terms get weight 0 instead of +1, in every quantum, counted "
+           "and classical score"),
+    Mutant("count-branches-swapped", "simulate.py",
+           "np.where(GAME_MATRIX > 0, c[..., 0] + c[..., 3], c[..., 1] + c[..., 2])",
+           "np.where(GAME_MATRIX > 0, c[..., 1] + c[..., 2], c[..., 0] + c[..., 3])",
+           ("test_simulate.py::TestBetaFromCounts",),
+           "counts credit opposite directions on equal paths and equal ones on "
+           "different paths"),
+    Mutant("opp-wins-transposed", "scoring.py",
+           "        p_opp = tuple(wins[GAME_MATRIX < 0].tolist())\n",
+           "        p_opp = tuple(wins.T[GAME_MATRIX < 0].tolist())\n",
+           ("test_properties.py::test_breakdown_follows_opp_pairs",),
+           "p_opp[k] holds the win probability of the reversed pair of OPP_PAIRS[k]"),
 )
 
 

@@ -7,6 +7,8 @@ operator is checked against its definition, the sum of 18
 Kronecker products of spin projectors built here with ``np.kron``, and
 bit for bit against its first complex-table construction, eigenvalues
 included;
+the score is ``4.5 + <M, E> / 2`` with ``M = 2I - J`` and correlators
+built here, and its per-term breakdown follows ``OPP_PAIRS``;
 every score, distribution and sweep row is checked against that
 operator or against the single-point functions; the two-parameter
 closed form is checked against that operator's spectrum right next to
@@ -186,6 +188,39 @@ def test_distribution_rows_are_probabilities(state, triple):
     assert table.shape == (3, 3, 4)
     assert np.all(table >= 0.0)
     assert np.abs(table.sum(axis=2) - 1.0).max() <= TOL
+
+
+# the game matrix M = 2I - J, built here
+GAME = 2 * np.eye(3) - np.ones((3, 3))
+
+
+def xz_observable(theta):
+    return np.sin(theta) * SIGMA_X + np.cos(theta) * SIGMA_Z
+
+
+@settings(deadline=None)
+@given(mixed_states(), triples)
+def test_beta_is_game_matrix_form(state, triple):
+    """beta = 4.5 + <M, E> / 2 with E_ij = tr(rho A_i (x) A_j)."""
+    t = triple.as_tuple()
+    e = np.array([[np.trace(state.rho @ np.kron(xz_observable(a), xz_observable(b))).real
+                   for b in t] for a in t])
+    assert abs(4.5 + np.sum(GAME * e) / 2 - beta_value(state, triple).beta) <= TOL
+
+
+@settings(deadline=None)
+@given(mixed_states(), triples)
+def test_breakdown_follows_opp_pairs(state, triple):
+    """p_same[i] is the win probability of path pair (i, i) and p_opp[k] that
+    of OPP_PAIRS[k], read off outcome_distribution, for beta_value and for
+    the counts reconstruction."""
+    t = triple.as_tuple()
+    dist = outcome_distribution(state, np.array(t)[:, None], np.array(t)[None, :])
+    same = [dist[i, i, 0] + dist[i, i, 3] for i in range(3)]
+    opp = [dist[i, j, 1] + dist[i, j, 2] for i, j in OPP_PAIRS]
+    for b in (beta_value(state, triple), beta_from_counts(expected_counts(state, triple, 1.0))):
+        assert np.abs(np.array(b.p_same) - same).max() <= TOL
+        assert np.abs(np.array(b.p_opp) - opp).max() <= TOL
 
 
 @settings(deadline=None)

@@ -1,12 +1,16 @@
 """Joint probabilities, correlators, the score functional and the game operator."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from qorient import (
+    CLASSICAL_BOUND,
     MIXED_BETA,
     OPP_PAIRS,
     OPTIMAL_SETTINGS,
+    PURE_MAX_BETA,
     BellState,
     QuantumState,
     SettingTriple,
@@ -19,6 +23,7 @@ from qorient import (
     noisy_phi_plus,
     outcome_distribution,
 )
+from qorient.scoring import GAME_MATRIX
 
 PHI_PLUS = bell_state_density(BellState.PHI_PLUS)
 PSI_MINUS = bell_state_density(BellState.PSI_MINUS)
@@ -186,3 +191,17 @@ class TestBetaValue:
         direct = beta_value(PHI_PLUS, SettingTriple.from_degrees(0, 120, -120)).beta
         via_family = beta_value(PHI_PLUS, TwoParam(np.radians(60), np.radians(-60))).beta
         assert abs(direct - via_family) < 1e-12
+
+
+class TestGameMatrix:
+    """The score is ``4.5 + <M, E> / 2`` with ``M = 2I - J``. For any quantum
+    strategy Tsirelson's theorem gives ``E_ij = u_i . v_j`` for unit vectors,
+    so ``<M, E> <= ||M||_2 ||U||_F ||V||_F = 3 ||M||_2``; a deterministic
+    strategy has ``E = a b^T`` for sign vectors a and b."""
+
+    def test_spectral_norm_gives_the_quantum_optimum(self):
+        assert 4.5 + 3 * np.linalg.norm(GAME_MATRIX, 2) / 2 == PURE_MAX_BETA
+
+    def test_sign_vectors_give_the_classical_bound(self):
+        signs = np.array(list(itertools.product((1, -1), repeat=3)))
+        assert 4.5 + (signs @ GAME_MATRIX @ signs.T).max() / 2 == CLASSICAL_BOUND

@@ -250,6 +250,12 @@ class TestBetaFromCounts:
         with pytest.raises(ValueError, match=r"\(2, 3\)"):
             beta_from_counts(CountTable(settings=OPTIMAL_SETTINGS, counts=counts))
 
+    def test_first_empty_pair_in_row_major_order_named(self):
+        counts = np.full((3, 3, 4), 10.0)
+        counts[0, 1] = counts[1, 1] = 0.0
+        with pytest.raises(ValueError, match=r"setting pair \(1, 2\)$"):
+            beta_from_counts(CountTable(settings=OPTIMAL_SETTINGS, counts=counts))
+
 
 class TestFitNoise:
     def test_max_point_perfect_source(self):
