@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scoring import GAME_MATRIX, N_TERMS
+from .scoring import CLASSICAL_BOUND, GAME_MATRIX, N_TERMS
 
 SIGNS = (+1, -1)
 _SIGN_VECTORS = tuple(itertools.product(SIGNS, repeat=3))
@@ -42,25 +42,28 @@ def enumerate_all() -> list[tuple[DeterministicStrategy, int]]:
             for (a, b), score in zip(pairs, scores.ravel().tolist())]
 
 
+def _extreme(pick) -> tuple[int, list[DeterministicStrategy]]:
+    """The extreme score (``pick`` is max or min) and every strategy achieving it."""
+    scored = enumerate_all()
+    best = pick(score for _, score in scored)
+    return best, [s for s, score in scored if score == best]
+
+
 def classical_maximum() -> tuple[int, list[DeterministicStrategy]]:
     """Best deterministic score and every strategy achieving it."""
-    scored = enumerate_all()
-    best = max(score for _, score in scored)
-    return best, [s for s, score in scored if score == best]
+    return _extreme(max)
 
 
 def classical_minimum() -> tuple[int, list[DeterministicStrategy]]:
     """Worst deterministic score and every strategy achieving it."""
-    scored = enumerate_all()
-    worst = min(score for _, score in scored)
-    return worst, [s for s, score in scored if score == worst]
+    return _extreme(min)
 
 
 def classical_success_bound() -> float:
-    """Best classical success probability: max deterministic score / 9.
+    """Best classical success probability: the maximum deterministic score,
+    CLASSICAL_BOUND (7), over the 9 terms.
 
     Mixed (shared-randomness) strategies are convex combinations of the
     deterministic ones, so they cannot exceed this.
     """
-    best, _ = classical_maximum()
-    return best / N_TERMS
+    return CLASSICAL_BOUND / N_TERMS

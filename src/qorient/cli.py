@@ -1,10 +1,14 @@
 """Command-line front end emitting figure datasets and headline summaries.
 
-Datasets are CSV (header row, floats at 12 significant digits, angles in
-degrees) or JSON (the same columns as arrays plus a metadata block).
-Output goes to --output when given, otherwise to stdout with the summary
-moved to stderr. Identical configurations, seed included, produce
-byte-identical files; nothing is read from the environment.
+Each subcommand is a handler that only computes: it returns the columns
+and column-major data of its dataset, the dataset's metadata and its
+summary lines. ``main`` is the one place that parses the arguments,
+calls the handler, writes the dataset and prints the summary. Datasets
+are CSV (header row, floats at 12 significant digits, angles in degrees)
+or JSON (the same columns as arrays plus a metadata block). Output goes
+to --output when given, otherwise to stdout with the summary moved to
+stderr. Identical configurations, seed included, produce byte-identical
+files; nothing is read from the environment.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .classical import classical_success_bound, enumerate_all
+from .classical import enumerate_all
 from .scoring import CLASSICAL_BOUND, MIXED_BETA, N_TERMS, PURE_MAX_BETA, beta_value
 from .simulate import (
     beta_from_counts,
@@ -175,33 +179,26 @@ def write_dataset(columns, data, args, metadata) -> None:
             fh.write(text)
 
 
-def _summary_stream(args):
-    return sys.stderr if args.output is None else sys.stdout
-
-
-def _say(args, line: str) -> None:
-    print(line, file=_summary_stream(args))
-
-
-def _require_seed(args) -> None:
+def _sample_size(args, flag: str, value: int, cap: int, purpose: str) -> None:
+    """Refuse a sample size below MIN_STATISTICAL_SAMPLES or above ``cap``,
+    and a negative --seed, before any sampling."""
+    if value < MIN_STATISTICAL_SAMPLES:
+        raise ValueError(f"{flag} must be >= {MIN_STATISTICAL_SAMPLES} for a "
+                         f"meaningful {purpose}")
+    if value > cap:
+        raise ValueError(f"{flag} must be <= {cap}, got {value}")
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
 
 
-def _settings_from_args(args) -> SettingTriple:
-    return SettingTriple.from_degrees(*args.settings)
-
-
-def cmd_eigs(args) -> int:
+def cmd_eigs(args):
     family = OneParam if args.one_param else TwoParam
     dataset = sweep_surface(family, args.grid, include_numeric=not args.one_param)
-    write_dataset(dataset.columns, dataset.data, args,
-                  {"grid": args.grid, "family": "one-param" if args.one_param else "two-param"})
     lam = np.stack([dataset.column(c) for c in ("lambda1", "lambda2", "lambda3", "lambda4")])
-    top, low = lam.max(), lam.min()
-    _say(args, f"eigenvalue range over grid: [{low:.9g}, {top:.9g}] "
-               f"(classical bound {CLASSICAL_BOUND:g})")
-    return 0
+    return (dataset.columns, dataset.data,
+            {"grid": args.grid, "family": "one-param" if args.one_param else "two-param"},
+            [f"eigenvalue range over grid: [{lam.min():.9g}, {lam.max():.9g}] "
+             f"(classical bound {CLASSICAL_BOUND:g})"])
 
 
 def _extreme_rows(dataset, pick) -> tuple[float, np.ndarray]:
@@ -212,80 +209,62 @@ def _extreme_rows(dataset, pick) -> tuple[float, np.ndarray]:
     return best, np.flatnonzero(np.abs(beta - best) <= 1e-9)
 
 
-def cmd_beta_surface(args) -> int:
-    state = parse_state(args.state)
-    dataset = sweep_surface(TwoParam, args.grid, state=state)
-    write_dataset(dataset.columns, dataset.data, args,
-                  {"grid": args.grid, "state": args.state})
+def cmd_beta_surface(args):
+    dataset = sweep_surface(TwoParam, args.grid, state=parse_state(args.state))
     best, at = _extreme_rows(dataset, np.max)
     low, _ = _extreme_rows(dataset, np.min)
     phi, theta = (dataset.column(c)[at[:4]].tolist() for c in ("phi_deg", "theta_deg"))
     spots = ", ".join(f"({p:g}, {t:g})" for p, t in zip(phi, theta))
-    _say(args, f"beta max over grid = {best:.9g} at (phi_deg, theta_deg): {spots}"
-               + (" ..." if len(at) > 4 else ""))
-    _say(args, f"beta min over grid = {low:.9g}; classical bound {CLASSICAL_BOUND:g}; "
-               f"success bound {classical_success_bound():.6f}")
-    return 0
+    return (dataset.columns, dataset.data, {"grid": args.grid, "state": args.state},
+            [f"beta max over grid = {best:.9g} at (phi_deg, theta_deg): {spots}"
+             + (" ..." if len(at) > 4 else ""),
+             f"beta min over grid = {low:.9g}; classical bound {CLASSICAL_BOUND:g}; "
+             f"success bound {CLASSICAL_BOUND / N_TERMS:.6f}"])
 
 
-def cmd_sweep_1d(args) -> int:
-    state = parse_state(args.state)
-    dataset = sweep_surface(OneParam, args.grid, state=state)
-    write_dataset(dataset.columns, dataset.data, args,
-                  {"grid": args.grid, "state": args.state})
+def cmd_sweep_1d(args):
+    dataset = sweep_surface(OneParam, args.grid, state=parse_state(args.state))
     best, at = _extreme_rows(dataset, np.max)
     spots = ", ".join(f"{t:g}" for t in dataset.column("theta_deg")[at[:4]].tolist())
-    _say(args, f"beta max over sweep = {best:.9g} at theta_deg: {spots}"
-               + (" ..." if len(at) > 4 else ""))
-    return 0
+    return (dataset.columns, dataset.data, {"grid": args.grid, "state": args.state},
+            [f"beta max over sweep = {best:.9g} at theta_deg: {spots}"
+             + (" ..." if len(at) > 4 else "")])
 
 
-def cmd_classical(args) -> int:
+def cmd_classical(args):
     scored = enumerate_all()
     columns = ("a1", "a2", "a3", "b1", "b2", "b3", "beta")
     rows = [s.alice + s.bob + (score,) for s, score in scored]
-    write_dataset(columns, list(zip(*rows)), args, {"strategies": len(rows)})
     scores = [score for _, score in scored]
     best, worst = max(scores), min(scores)
-    _say(args, f"{len(rows)} deterministic strategies; max beta = {best} "
-               f"({scores.count(best)} strategies), min beta = {worst}")
-    _say(args, f"classical success bound = {best}/{N_TERMS} = {best / N_TERMS:.6f}")
-    return 0
+    return (columns, list(zip(*rows)), {"strategies": len(rows)},
+            [f"{len(rows)} deterministic strategies; max beta = {best} "
+             f"({scores.count(best)} strategies), min beta = {worst}",
+             f"classical success bound = {best}/{N_TERMS} = {best / N_TERMS:.6f}"])
 
 
-def cmd_simulate(args) -> int:
-    if args.trials < MIN_STATISTICAL_SAMPLES:
-        raise ValueError(f"--trials must be >= {MIN_STATISTICAL_SAMPLES} for a "
-                         "meaningful estimate")
-    if args.trials > MAX_TRIALS:
-        raise ValueError(f"--trials must be <= {MAX_TRIALS}, got {args.trials}")
-    _require_seed(args)
+def cmd_simulate(args):
+    _sample_size(args, "--trials", args.trials, MAX_TRIALS, "estimate")
     state = parse_state(args.state)
-    settings = _settings_from_args(args)
+    settings = SettingTriple.from_degrees(*args.settings)
     estimate = run_game(state, settings, args.trials, args.seed)
     expected = beta_value(state, settings).success_probability
     columns = ("state", "t1_deg", "t2_deg", "t3_deg", "trials", "seed",
                "success_rate", "stderr", "expected_success")
     rows = [(args.state, *args.settings, args.trials, args.seed,
              estimate.success_rate, estimate.stderr, expected)]
-    write_dataset(columns, list(zip(*rows)), args, {"state": args.state, "seed": args.seed,
-                                                    "trials": args.trials})
-    _say(args, f"success rate = {estimate.success_rate:.6f} +- {estimate.stderr:.6f} "
-               f"({args.trials} trials, seed {args.seed})")
-    _say(args, f"Born-rule expectation = {expected:.6f}; classical bound "
-               f"{CLASSICAL_BOUND:g}/{N_TERMS} = {classical_success_bound():.6f}")
-    return 0
+    return (columns, list(zip(*rows)),
+            {"state": args.state, "seed": args.seed, "trials": args.trials},
+            [f"success rate = {estimate.success_rate:.6f} +- {estimate.stderr:.6f} "
+             f"({args.trials} trials, seed {args.seed})",
+             f"Born-rule expectation = {expected:.6f}; classical bound "
+             f"{CLASSICAL_BOUND:g}/{N_TERMS} = {CLASSICAL_BOUND / N_TERMS:.6f}"])
 
 
-def cmd_counts(args) -> int:
-    if args.n_per_pair < MIN_STATISTICAL_SAMPLES:
-        raise ValueError(f"--n-per-pair must be >= {MIN_STATISTICAL_SAMPLES} for a "
-                         "meaningful reconstruction")
-    if args.n_per_pair > MAX_N_PER_PAIR:
-        raise ValueError(f"--n-per-pair must be <= {MAX_N_PER_PAIR}, got {args.n_per_pair}")
-    _require_seed(args)
+def cmd_counts(args):
+    _sample_size(args, "--n-per-pair", args.n_per_pair, MAX_N_PER_PAIR, "reconstruction")
     state = parse_state(args.state)
-    settings = _settings_from_args(args)
+    settings = SettingTriple.from_degrees(*args.settings)
     table = synth_counts(state, settings, args.n_per_pair, args.seed)
     degrees = settings.as_degrees()
     columns = ("i", "j", "theta_i_deg", "theta_j_deg",
@@ -297,15 +276,14 @@ def cmd_counts(args) -> int:
             rows.append((i + 1, j + 1, degrees[i], degrees[j],
                          int(cell[0]), int(cell[1]), int(cell[2]), int(cell[3]),
                          int(cell.sum())))
-    write_dataset(columns, list(zip(*rows)), args, {"state": args.state, "seed": args.seed,
-                                                    "n_per_pair": args.n_per_pair})
     recon = beta_from_counts(table)
-    _say(args, f"beta reconstructed from counts = {recon.beta:.6f} "
-               f"(success {recon.success_probability:.6f}, seed {args.seed})")
-    return 0
+    return (columns, list(zip(*rows)),
+            {"state": args.state, "seed": args.seed, "n_per_pair": args.n_per_pair},
+            [f"beta reconstructed from counts = {recon.beta:.6f} "
+             f"(success {recon.success_probability:.6f}, seed {args.seed})"])
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args):
     if args.beta_max is None and args.input is None:
         raise ValueError("fit needs --beta-max and/or --input")
     fits = []
@@ -316,30 +294,37 @@ def cmd_fit(args) -> int:
         fits.append(fit_noise(observed, method="curve-fit"))
     columns = ("method", "p_hat", "residual")
     rows = [(f.method, f.p_hat, f.residual) for f in fits]
-    write_dataset(columns, list(zip(*rows)), args,
-                  {"beta_max": args.beta_max, "input": args.input})
+    summary = []
     for f in fits:
         note = ""
         if f.method == "max-point" and not MIXED_BETA <= args.beta_max <= PURE_MAX_BETA:
             note = (f"; clamped, since beta_max {args.beta_max:g} lies outside [{MIXED_BETA:g}, "
                     f"{PURE_MAX_BETA:g}], from white noise to the quantum maximum")
-        _say(args, f"{f.method}: p = {f.p_hat:.6f} (residual {f.residual:.3g}){note}")
+        summary.append(f"{f.method}: p = {f.p_hat:.6f} (residual {f.residual:.3g}){note}")
     if len(fits) == 1 and fits[0].method == "max-point":
-        _say(args, "note: a single maximum pins p through the noise line only; "
-                   "compare with a full-curve fit (--input) when sweep data exist")
-    return 0
+        summary.append("note: a single maximum pins p through the noise line only; "
+                       "compare with a full-curve fit (--input) when sweep data exist")
+    return (columns, list(zip(*rows)), {"beta_max": args.beta_max, "input": args.input},
+            summary)
 
 
 def _read_sweep_observations(path: str) -> list[tuple[OneParam, float]]:
     """Read (theta_deg, beta) rows from a sweep-1d CSV file.
 
-    A short row, an unparsable cell or a non-finite value is an error
-    naming the file and line.
+    A short row, an unparsable cell, a non-finite value or a row that the
+    csv module refuses (a cell above its field size limit) is an error
+    naming the file and line; text that is not UTF-8 is an error naming
+    the file.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        rows = [(reader.line_num, [cell.strip() for cell in row])
-                for row in reader if any(cell.strip() for cell in row)]
+        try:
+            rows = [(reader.line_num, [cell.strip() for cell in row])
+                    for row in reader if any(cell.strip() for cell in row)]
+        except csv.Error as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not rows:
         raise ValueError(f"no data in {path}")
     header = rows[0][1]
@@ -372,94 +357,84 @@ def build_parser() -> argparse.ArgumentParser:
         description="Datasets and summaries for the entanglement-assisted "
                     "orientation game.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--output", "-o", default=None, metavar="PATH",
-                       help="write the dataset here (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="dataset format (default: csv)")
-
-    def add_state(p, default="phi+"):
-        p.add_argument("--state", default=default, metavar="SPEC",
-                       help="bell label (phi+, phi-, psi+, psi-), noisy:P, or "
-                            "superpose:A,B,AMP with AMP the first amplitude "
-                            f"(default: {default})")
-
-    def add_settings(p):
-        p.add_argument("--settings", nargs=3, type=float, metavar=("D1", "D2", "D3"),
-                       default=list(DEFAULT_SETTINGS_DEG),
-                       help="measurement angles in degrees "
-                            "(default: 0 120 -120, the quantum optimum)")
-
-    p = sub.add_parser("eigs", help="eigenvalue bounds over a measurement family grid")
-    p.add_argument("--grid", type=int, default=181, help=GRID_HELP_2D)
-    p.add_argument("--one-param", action="store_true",
-                   help="sweep the single-parameter family (0, 2t, -2t) instead")
-    add_common(p)
-    p.set_defaults(func=cmd_eigs)
-
-    p = sub.add_parser("beta-surface", help="score surface of a state over the "
-                                            "two-parameter family")
-    add_state(p)
-    p.add_argument("--grid", type=int, default=181, help=GRID_HELP_2D)
-    add_common(p)
-    p.set_defaults(func=cmd_beta_surface)
-
-    p = sub.add_parser("sweep-1d", help="score of a state along the one-parameter family")
-    add_state(p)
-    p.add_argument("--grid", type=int, default=361,
-                   help=f"points over [-90, 90] degrees (default: 361; at least 2, "
-                        f"at most {MAX_GRID_POINTS})")
-    add_common(p)
-    p.set_defaults(func=cmd_sweep_1d)
-
-    p = sub.add_parser("classical", help="enumerate all 64 deterministic strategies")
-    add_common(p)
-    p.set_defaults(func=cmd_classical)
-
-    p = sub.add_parser("simulate", help="Monte Carlo rounds of the game")
-    add_state(p)
-    add_settings(p)
-    p.add_argument("--trials", type=int, default=100000,
-                   help=f"number of rounds (default: 100000, minimum 100, "
-                        f"maximum {MAX_TRIALS}, which bounds run time; memory "
-                        "stays near one byte per round)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
-    add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("counts", help="synthetic coincidence counts per setting pair")
-    add_state(p)
-    add_settings(p)
-    p.add_argument("--n-per-pair", type=int, default=10000,
-                   help=f"coincidences per setting pair (default: 10000, minimum 100, "
-                        f"maximum {MAX_N_PER_PAIR})")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
-    add_common(p)
-    p.set_defaults(func=cmd_counts)
-
-    p = sub.add_parser("fit", help="fit the white-noise parameter of the source")
-    p.add_argument("--beta-max", type=float, default=None,
-                   help="invert a single maximal score through the noise line")
-    p.add_argument("--input", default=None, metavar="PATH",
-                   help="sweep-1d CSV (theta_deg, beta) for a full-curve fit")
-    add_common(p)
-    p.set_defaults(func=cmd_fit)
-
+    # (flags, add_argument keywords) per option
+    state = (("--state",), dict(
+        default="phi+", metavar="SPEC",
+        help="bell label (phi+, phi-, psi+, psi-), noisy:P, or superpose:A,B,AMP with AMP "
+             "the first amplitude (default: phi+)"))
+    settings = (("--settings",), dict(
+        nargs=3, type=float, metavar=("D1", "D2", "D3"), default=list(DEFAULT_SETTINGS_DEG),
+        help="measurement angles in degrees (default: 0 120 -120, the quantum optimum)"))
+    seed = (("--seed",), dict(type=int, default=0, help="RNG seed (default: 0)"))
+    grid = (("--grid",), dict(type=int, default=181, help=GRID_HELP_2D))
+    output = ((("--output", "-o"), dict(default=None, metavar="PATH",
+                                        help="write the dataset here (default: stdout)")),
+              (("--format",), dict(choices=("csv", "json"), default="csv",
+                                   help="dataset format (default: csv)")))
+    # built per call, not at import, so that a cmd_* name rebound in this
+    # module (as a tracer does) is the handler the parser calls
+    commands = (
+        ("eigs", cmd_eigs, "eigenvalue bounds over a measurement family grid", (
+            grid,
+            (("--one-param",), dict(action="store_true", help="sweep the single-parameter "
+                                    "family (0, 2t, -2t) instead")))),
+        ("beta-surface", cmd_beta_surface,
+         "score surface of a state over the two-parameter family", (state, grid)),
+        ("sweep-1d", cmd_sweep_1d, "score of a state along the one-parameter family", (
+            state,
+            (("--grid",), dict(type=int, default=361,
+                               help=f"points over [-90, 90] degrees (default: 361; at least "
+                                    f"2, at most {MAX_GRID_POINTS})")))),
+        ("classical", cmd_classical, "enumerate all 64 deterministic strategies", ()),
+        ("simulate", cmd_simulate, "Monte Carlo rounds of the game", (
+            state, settings,
+            (("--trials",), dict(type=int, default=100000,
+                                 help=f"number of rounds (default: 100000, minimum 100, "
+                                      f"maximum {MAX_TRIALS}, which bounds run time; memory "
+                                      "stays near one byte per round)")),
+            seed)),
+        ("counts", cmd_counts, "synthetic coincidence counts per setting pair", (
+            state, settings,
+            (("--n-per-pair",), dict(type=int, default=10000,
+                                     help=f"coincidences per setting pair (default: 10000, "
+                                          f"minimum 100, maximum {MAX_N_PER_PAIR})")),
+            seed)),
+        ("fit", cmd_fit, "fit the white-noise parameter of the source", (
+            (("--beta-max",), dict(type=float, default=None,
+                                   help="invert a single maximal score through the noise "
+                                        "line")),
+            (("--input",), dict(default=None, metavar="PATH",
+                                help="sweep-1d CSV (theta_deg, beta) for a full-curve fit")))),
+    )
+    for name, handler, help_text, options in commands:
+        p = sub.add_parser(name, help=help_text)
+        for flags, keywords in (*options, *output):
+            p.add_argument(*flags, **keywords)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
+    """Parse ``argv``, compute the command's dataset, write it, then print
+    its summary: to stdout when the dataset goes to --output, else to stderr."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        if value == []:  # argparse of Python 3.11 strips the "--" of "--flag=--" and stores []
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
-        return args.func(args)
+        columns, data, metadata, summary = args.func(args)
+        write_dataset(columns, data, args, metadata)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
+    stream = sys.stderr if args.output is None else sys.stdout
+    for line in summary:
+        print(line, file=stream)
+    return 0
 
 
 if __name__ == "__main__":

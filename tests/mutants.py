@@ -165,6 +165,24 @@ MUTANTS = (
            "        p_opp = tuple(wins.T[GAME_MATRIX < 0].tolist())\n",
            ("test_properties.py::test_breakdown_follows_opp_pairs",),
            "p_opp[k] holds the win probability of the reversed pair of OPP_PAIRS[k]"),
+    Mutant("sample-size-minimum-refused", "cli.py",
+           "    if value < MIN_STATISTICAL_SAMPLES:\n",
+           "    if value <= MIN_STATISTICAL_SAMPLES:\n",
+           ("test_cli.py::TestErrorPaths",),
+           "--trials 100 and --n-per-pair 100, the documented minimum, are refused"),
+    Mutant("sample-size-cap-refused", "cli.py",
+           "    if value > cap:\n", "    if value >= cap:\n",
+           ("test_cli.py::TestErrorPaths",),
+           "--trials and --n-per-pair at their caps are refused"),
+    Mutant("summary-stream-swapped", "cli.py",
+           "    stream = sys.stderr if args.output is None else sys.stdout\n",
+           "    stream = sys.stdout if args.output is None else sys.stderr\n",
+           ("test_cli.py::TestBetaSurface::test_stdout_when_no_output",),
+           "without --output the summary lines run into the dataset on stdout"),
+    Mutant("empty-option-value-kept", "cli.py",
+           "        if value == []:", "        if False:",
+           ("test_cli.py::test_every_argv_ends_in_a_dataset_or_one_error_line",),
+           "--grid=-- reaches the handler as [] and ends in a TypeError traceback"),
 )
 
 

@@ -11,6 +11,7 @@ from qorient.classical import (
     classical_success_bound,
     enumerate_all,
 )
+from qorient.scoring import N_TERMS
 
 # brute-force golden values, frozen from the enumeration itself
 GOLDEN_MAX = 7
@@ -93,6 +94,9 @@ class TestEnumeration:
 
     def test_success_bound(self):
         assert classical_success_bound() == pytest.approx(7 / 9, abs=0)
+
+    def test_success_bound_is_the_enumerated_maximum(self):
+        assert classical_success_bound() == classical_maximum()[0] / N_TERMS
 
     def test_quantum_optimum_exceeds_bound(self):
         assert 7.5 / 9 > classical_success_bound()

@@ -1,17 +1,31 @@
 """End-to-end checks of the command-line interface."""
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qorient import __version__
-from qorient.cli import MAX_N_PER_PAIR, MAX_TRIALS, _format_value, main, parse_state, write_dataset
+from qorient.cli import (
+    MAX_N_PER_PAIR,
+    MAX_TRIALS,
+    MIN_STATISTICAL_SAMPLES,
+    _format_value,
+    build_parser,
+    main,
+    parse_state,
+    write_dataset,
+)
 from qorient.spectra import MAX_GRID_POINTS
 from qorient.states import BellState, bell_state_density, noisy_phi_plus
 
@@ -238,6 +252,18 @@ class TestFit:
         assert len(err) == 1 and err[0].startswith("error:")
         assert f"{bad}, line {line}:" in err[0]
 
+    @pytest.mark.parametrize("body, where", [
+        (b"theta_deg,beta\n10," + b"7" * 131073 + b"\n",
+         ", line 2: field larger than field limit (131072)"),
+        (b"theta_deg,beta\n10,7\n20,\xff\n", ": 'utf-8' codec can't decode byte 0xff"),
+    ], ids=["oversized-cell", "not-utf-8"])
+    def test_unreadable_input_names_file(self, tmp_path, capsys, body, where):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(body)
+        assert run(["fit", "--input", str(bad)]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}{where}")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_rejects_non_finite_beta_max(self, capsys, value):
         assert run(["fit", f"--beta-max={value}"]) == 2
@@ -368,6 +394,41 @@ class TestErrorPaths:
         assert capsys.readouterr().err == f"error: {flag} must be <= {cap}, got {value}\n"
         assert peak < 2**20  # refused before any sampling
 
+    @pytest.mark.parametrize("command, flag, value", [
+        (["simulate"], "--trials", MIN_STATISTICAL_SAMPLES),
+        (["simulate"], "--trials", MAX_TRIALS),
+        (["counts"], "--n-per-pair", MIN_STATISTICAL_SAMPLES),
+        (["counts"], "--n-per-pair", MAX_N_PER_PAIR),
+    ])
+    def test_sample_size_edges_are_accepted(self, tmp_path, command, flag, value):
+        out = tmp_path / "out.csv"
+        assert run(command + [flag, str(value), "-o", str(out)]) == 0
+        header, rows = read_csv(out)
+        column = "trials" if flag == "--trials" else "n_tot"
+        assert {int(r[header.index(column)]) for r in rows} == {value}
+
+    @pytest.mark.parametrize("command, flag, purpose", [
+        (["simulate"], "--trials", "estimate"),
+        (["counts"], "--n-per-pair", "reconstruction"),
+    ])
+    def test_sample_size_below_minimum_names_the_flag(self, capsys, command, flag, purpose):
+        assert run(command + [flag, str(MIN_STATISTICAL_SAMPLES - 1)]) == 2
+        assert capsys.readouterr().err == (f"error: {flag} must be >= {MIN_STATISTICAL_SAMPLES} "
+                                           f"for a meaningful {purpose}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["beta-surface", "--grid=--"], ["counts", "--seed=--"], ["fit", "--beta-max=--"],
+        ["classical", "--format=--"],
+    ])
+    def test_double_dash_value_is_a_usage_error(self, capsys, argv):
+        # argparse of Python 3.11 stores [] for "--flag=--"; later ones may
+        # refuse the "--" itself
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        err = capsys.readouterr().err.strip().split("\n")
+        assert exc.value.code == 2 and err[0].startswith("usage: qorient")
+        assert f": error: argument {argv[1].removesuffix('=--')}: " in err[-1]
+
     def test_unwritable_output(self, tmp_path, capsys):
         missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert run(["classical", "-o", str(missing_dir)]) == 1
@@ -381,3 +442,95 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             run(["no-such-command"])
         assert exc.value.code != 0
+
+
+# The contract every argv keeps: a dataset and exit 0, or a refusal with
+# exit 2 (1 for i/o), never a traceback. Values are drawn per option type
+# from build_parser()'s own actions, so a new option is fuzzed as it is
+# added. Sizes stay small: grids of at most 21 per axis, at most 1e4
+# samples; the only sizes above a cap lie beyond int64.
+BEYOND_INT64 = [str(2**63), str(-2**63 - 1), "99999999999999999999"]
+MALFORMED = ["", "abc", "1.5", "0x10", "1e3", "7,5", " 3", "--"]
+INT_TOPS = {"grid": 21}  # per axis, so that a 2-D grid stays small
+STATE_SPECS = ["phi+", "PSI-", "noisy:0.9", "noisy:nan", "noisy:-0", "noisy:2",
+               "superpose:psi+,phi-,0.6", "superpose:phi+,phi+,0.6", "superpose:phi+,psi+,inf",
+               "superpose:a,b,c", "superpose:psi+", "banana"]
+
+
+def _int_values(action):
+    top = INT_TOPS.get(action.dest, 10**4)
+    edges = [v for v in (-1, 0, 1, 2, MIN_STATISTICAL_SAMPLES - 1, MIN_STATISTICAL_SAMPLES, top)
+             if v <= top]
+    return st.one_of(st.integers(-2, top).map(str), st.sampled_from(["-0", *map(str, edges)]),
+                     st.sampled_from(BEYOND_INT64 + MALFORMED))
+
+
+FLOAT_VALUES = st.one_of(
+    st.floats(-1.0, 10.0).map(repr), st.floats(-1e3, 1e3).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "-0", "1e309", "0", "4.5", "7.5", "9"] + MALFORMED))
+
+
+def _values(action, paths):
+    if action.choices is not None:
+        return st.sampled_from([*action.choices, "xml"])
+    if action.type is int:
+        return _int_values(action)
+    if action.type is float:
+        return FLOAT_VALUES
+    return st.sampled_from(paths if action.metavar == "PATH" else STATE_SPECS)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sweep-1d", "--state", "noisy:0.9", "--grid", "21",
+                     "-o", str(root / "sweep.csv")]) == 0
+    (root / "huge.csv").write_bytes(b"theta_deg,beta\n1," + b"7" * 131073 + b"\n")
+    (root / "latin1.csv").write_bytes(b"theta_deg,beta\n1,\xe97\n")
+    return root
+
+
+(SUBPARSERS,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_every_argv_ends_in_a_dataset_or_one_error_line(fuzz_dir, data):
+    command = data.draw(st.sampled_from(sorted(SUBPARSERS.choices)))
+    paths = [str(fuzz_dir / name) for name in
+             ("sweep.csv", "huge.csv", "latin1.csv", "missing.csv", "")]
+    out = fuzz_dir / "out"
+    argv = [command, "-o", str(out)]
+    for action in SUBPARSERS.choices[command]._actions:
+        if (isinstance(action, argparse._HelpAction) or action.dest == "output"
+                or not data.draw(st.booleans())):
+            continue
+        flag = data.draw(st.sampled_from(action.option_strings))
+        if action.nargs == 0:
+            argv.append(flag)
+        elif isinstance(action.nargs, int):
+            argv += [flag, *(data.draw(_values(action, paths)) for _ in range(action.nargs))]
+        else:
+            argv.append(f"{flag}={data.draw(_values(action, paths))}")
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    err = stderr.getvalue()
+    lines = err.splitlines()
+    assert code in (0, 1, 2) and "Traceback" not in err, (argv, code, err)
+    if code == 0:
+        assert err == "" and out.stat().st_size > 0 and stdout.getvalue(), argv
+    elif lines and lines[0].startswith("usage: "):
+        # argparse's refusal: the usage (wrapped onto indented lines) and one error line
+        assert code == 2 and all(line.startswith(" ") for line in lines[1:-1]), (argv, err)
+        assert re.match(rf"qorient( {command})?: error: ", lines[-1]), (argv, err)
+    else:
+        assert len(lines) == 1, (argv, err)
+        assert lines[0].startswith("i/o error: " if code == 1 else "error: "), (argv, err)
