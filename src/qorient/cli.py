@@ -46,8 +46,8 @@ from .states import (
 
 MIN_STATISTICAL_SAMPLES = 100
 # run_game holds one byte per trial plus a fixed ~1.6 MiB chunk, so this cap
-# bounds run time, not memory: about 16-19 ns per trial on a 2-vCPU host,
-# so about 0.05 s at the cap
+# bounds run time, not memory: about 9-10 ns per trial on a 2-vCPU host,
+# so about 0.03 s at the cap
 MAX_TRIALS = 3_000_000
 # below 2**53, so every count of a CountTable is an exact float
 MAX_N_PER_PAIR = 10**15

@@ -1,13 +1,18 @@
 """Monte Carlo play of the orientation game and synthetic count statistics.
 
 Sampling uses numpy's seedable PCG64 generator, which is stable across
-platforms. ``run_game`` plays its rounds in fixed chunks from one
-generator, drawn in the same order as one batch of every path a, every
-path b and every uniform, so memory stays at about a byte per round
-while every estimate matches the one-batch draw bit for bit. Where work
-splits across setting pairs, each pair gets an independent child stream
-spawned from (seed, pair index), so results do not depend on evaluation
-order.
+platforms. ``run_game`` reads raw PCG64 words and calls no ``Generator``
+method, since numpy keeps a bit generator's stream fixed across versions
+but lets ``Generator`` methods change their algorithms (NEP 19,
+https://numpy.org/neps/nep-0019-rng-policy.html). Its words give every
+path a, then every path b, then every uniform, exactly as
+``default_rng(seed)`` draws ``integers(0, 3)`` twice and then
+``random()`` (checked with numpy 2.4), so every estimate matches that
+one-batch draw bit for bit while memory stays at about a byte per round.
+``sample_trial`` and ``synth_counts`` draw from a ``Generator``. Where
+work splits across setting pairs, each pair gets an independent child
+stream spawned from (seed, pair index), so results do not depend on
+evaluation order.
 """
 
 from __future__ import annotations
@@ -120,34 +125,77 @@ def sample_trial(state: QuantumState, settings: Parametrization,
                        outcome_b=sign_b, success=(sign_a == sign_b) == (path_a == path_b))
 
 
+def _path_pairs(bitgen: np.random.BitGenerator, n: int) -> np.ndarray:
+    """Pair index 3*a + b of n rounds, one byte each, from raw 64-bit words.
+
+    These are the paths of ``integers(0, 3, size=n)`` drawn twice, a then
+    b, from a ``Generator`` on ``bitgen``. Numpy draws them with Lemire's
+    method on 32-bit halves, low half of each word first: a half h gives
+    floor(3h / 2**32), and is refused when 3h mod 2**32 < 1, which only
+    h = 0 is. Halves are read in pieces of ``_CHUNK``, and a piece may
+    hold the last paths a and the first paths b. A half left over after
+    the last path b is dropped, as ``Generator.random`` drops it, so the
+    next word of ``bitgen`` is the first uniform.
+    """
+    pair = np.empty(n, dtype=np.uint8)
+    done = 0  # paths drawn; the first n are paths a, the next n paths b
+    while done < 2 * n:
+        words = bitgen.random_raw(-(-min(2 * n - done, _CHUNK) // 2))
+        halves = words.astype("<u8", copy=False).view("<u4")
+        if np.count_nonzero(halves) < halves.size:
+            halves = halves[halves != 0]
+        # floor(3h / 2**32) counts the bounds floor(k * 2**32 / 3), k = 1, 2, that h exceeds
+        paths = (halves > 1431655765).view(np.uint8) + (halves > 2863311530).view(np.uint8)
+        paths = paths[:2 * n - done]
+        n_a = min(max(n - done, 0), paths.size)
+        np.multiply(paths[:n_a], 3, out=pair[done:done + n_a])
+        if n_a < paths.size:
+            pair[done + n_a - n:done + paths.size - n] += paths[n_a:]
+        done += paths.size
+    return pair
+
+
+def _uniform_thresholds(c: np.ndarray) -> np.ndarray:
+    """The least t with t * 2**-53 >= c, for each entry c of [0, 1].
+
+    A uniform from word w is (w >> 11) * 2**-53, so it reaches c exactly
+    when w >> 11 reaches this t. c * 2**53 is exact.
+    """
+    return np.ceil(c * 2.0**53).astype(np.uint64)
+
+
 def run_game(state: QuantumState, settings: Parametrization, n_trials: int,
              seed: int) -> GameEstimate:
     """Estimate the success probability over many independent rounds.
 
-    Deterministic for a fixed seed. One generator draws every path a,
-    then every path b, then every uniform, each in chunks of ``_CHUNK``;
-    numpy gives the same stream in chunks as in one call. Between the
-    path loops only the pair index 3*a + b is kept, one byte per round,
-    and the rounds are then played chunk by chunk into a running win
-    count, so a run holds n_trials bytes plus one chunk's temporaries.
+    Deterministic for a fixed seed. One ``PCG64(seed)`` gives raw words,
+    whose stream NEP 19 keeps fixed across numpy versions: first every
+    path a and then every path b (``_path_pairs``), kept as the pair index
+    3*a + b, one byte per round; then one word per round, whose top 53
+    bits are its uniform. That is ``default_rng(seed)`` drawing
+    ``integers(0, 3)`` twice and then ``random()``. The rounds are played
+    chunk by chunk into a running loss count, so a run holds n_trials
+    bytes plus one chunk's temporaries. A round's directions differ when
+    its uniform reaches the first cdf entry of its pair but not the
+    third; both compares run on integers, against ``_uniform_thresholds``.
     """
     n_trials = _exact_count("n_trials", n_trials, 1)
     seed = _exact_count("seed", seed, 0)
     cdf = _outcome_cdf(state, settings)
-    rng = np.random.default_rng(seed)
-    pair = np.empty(n_trials, dtype=np.uint8)
-    chunks = [pair[start:start + _CHUNK] for start in range(0, n_trials, _CHUNK)]
-    for chunk in chunks:
-        chunk[:] = 3 * rng.integers(0, 3, size=chunk.size)
-    for chunk in chunks:
-        chunk[:] = chunk + rng.integers(0, 3, size=chunk.size)
-    wins = 0
-    for chunk in chunks:
-        k = _outcomes(cdf, chunk, rng.random(chunk.size))
-        # a round is won with equal directions (k = 0 or 3) exactly when
-        # the paths are equal (pair index 0, 4 or 8)
-        wins += int(np.count_nonzero(((k == 0) | (k == 3)) == (chunk % 4 == 0)))
-    rate = wins / n_trials
+    lo, hi = _uniform_thresholds(cdf[:, 0]), _uniform_thresholds(cdf[:, 2])
+    bitgen = np.random.PCG64(seed)
+    pair = _path_pairs(bitgen, n_trials)
+    losses = 0
+    for start in range(0, n_trials, _CHUNK):
+        chunk = pair[start:start + _CHUNK]
+        m = bitgen.random_raw(chunk.size)
+        m >>= 11
+        idx = chunk.astype(np.intp)
+        differ = (m >= lo.take(idx, mode="clip")) ^ (m >= hi.take(idx, mode="clip"))
+        # a round is lost when its directions differ exactly when its paths
+        # are equal (pair index 0, 4 or 8)
+        losses += int(np.count_nonzero(differ == ((chunk & 3) == 0)))
+    rate = (n_trials - losses) / n_trials
     stderr = float(np.sqrt(rate * (1.0 - rate) / n_trials))
     return GameEstimate(success_rate=rate, stderr=stderr, n_trials=n_trials, seed=seed)
 

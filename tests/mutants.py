@@ -112,20 +112,45 @@ MUTANTS = (
            ("test_cli.py",),
            "a numpy string column skips quoting"),
     Mutant("last-partial-chunk-dropped", "simulate.py",
-           "range(0, n_trials, _CHUNK)]", "range(0, n_trials - n_trials % _CHUNK, _CHUNK)]",
+           "range(0, n_trials, _CHUNK):", "range(0, n_trials - n_trials % _CHUNK, _CHUNK):",
            ("test_simulate.py::TestRunGame",),
            "run_game plays only whole chunks and divides by the full count"),
     Mutant("equal-paths-mod-3", "simulate.py",
-           "(chunk % 4 == 0)", "(chunk % 3 == 0)",
+           "((chunk & 3) == 0)", "((chunk % 3) == 0)",
            ("test_simulate.py::TestRunGame",),
            "pair indices 3 and 6 count as equal paths, and 4 and 8 do not"),
     Mutant("interleaved-path-draws", "simulate.py",
-           "        chunk[:] = 3 * rng.integers(0, 3, size=chunk.size)\n"
-           "    for chunk in chunks:\n",
-           "        chunk[:] = 3 * rng.integers(0, 3, size=chunk.size)\n",
+           "        n_a = min(max(n - done, 0), paths.size)\n"
+           "        np.multiply(paths[:n_a], 3, out=pair[done:done + n_a])\n"
+           "        if n_a < paths.size:\n"
+           "            pair[done + n_a - n:done + paths.size - n] += paths[n_a:]\n",
+           "        pair[done // 2:(done + paths.size) // 2] = 3 * paths[0::2] + paths[1::2]\n",
            ("test_simulate.py::TestRunGame",),
-           "paths b are drawn chunk by chunk right after paths a, so beyond one "
-           "chunk the stream differs from the one-batch order"),
+           "each word gives one round's path a and path b, so the stream differs "
+           "from numpy's order of every path a, then every path b"),
+    Mutant("low-third-bound-off-by-one", "simulate.py",
+           "(halves > 1431655765)", "(halves > 1431655766)",
+           ("test_simulate.py::TestRunGame",),
+           "the half 1431655766 gives path 0 where Lemire's method gives path 1"),
+    Mutant("halves-high-first", "simulate.py",
+           'words.astype("<u8", copy=False).view("<u4")',
+           'words.astype(">u8", copy=False).view(">u4")',
+           ("test_simulate.py::TestRunGame",),
+           "each word's high half is read before its low half"),
+    Mutant("zero-half-kept", "simulate.py",
+           "        if np.count_nonzero(halves) < halves.size:\n"
+           "            halves = halves[halves != 0]\n", "",
+           ("test_simulate.py::TestRunGame",),
+           "a zero half, which Lemire's method refuses, is played as path 0"),
+    Mutant("floor-thresholds", "simulate.py",
+           "np.ceil(c * 2.0**53)", "np.floor(c * 2.0**53)",
+           ("test_simulate.py::TestRunGame",),
+           "a uniform one step of 2**-53 below a cdf entry counts as reaching it"),
+    Mutant("boundary-piece-all-a", "simulate.py",
+           "        n_a = min(max(n - done, 0), paths.size)\n",
+           "        n_a = paths.size if done < n else 0\n",
+           ("test_simulate.py::TestRunGame",),
+           "the piece holding the last paths a and the first paths b is read as paths a"),
     Mutant("truncated-trial-count", "simulate.py",
            '    n_trials = _exact_count("n_trials", n_trials, 1)\n',
            "    n_trials = int(n_trials)\n",

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qorient import (
     OPTIMAL_SETTINGS,
@@ -26,7 +28,14 @@ from qorient import (
     superpose,
     synth_counts,
 )
-from qorient.simulate import _CHUNK, GameEstimate, _distribution_table
+from qorient.simulate import (
+    _CHUNK,
+    GameEstimate,
+    _distribution_table,
+    _outcome_cdf,
+    _path_pairs,
+    _uniform_thresholds,
+)
 
 PHI_PLUS = bell_state_density(BellState.PHI_PLUS)
 MIXED = maximally_mixed()
@@ -51,6 +60,29 @@ def one_shot_rounds(state, settings, n, rng):
     sign_b = 1 - 2 * (k & 1)
     success = np.where(paths_a == paths_b, sign_a == sign_b, sign_a != sign_b)
     return paths_a, paths_b, sign_a, sign_b, success
+
+
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def pcg64_before(word: int) -> np.random.PCG64:
+    """A PCG64 whose next raw word is ``word``, with no half word pending.
+
+    PCG64 steps its 128-bit state s to s * multiplier + inc (mod 2**128)
+    and outputs XSL-RR of the new state: (high ^ low) rotated right by
+    the top 6 bits of high. Pick high, solve for low, then step back.
+    """
+    bitgen = np.random.PCG64(11)
+    state = bitgen.state
+    inc = state["state"]["inc"]
+    high = 0x9E3779B97F4A7C15
+    rot = high >> 58
+    low = high ^ (((word << rot) | (word >> (64 - rot))) & (2**64 - 1))
+    after = (high << 64) | low
+    state["state"]["state"] = (after - inc) * pow(PCG64_MULTIPLIER, -1, 2**128) % 2**128
+    state["has_uint32"], state["uinteger"] = 0, 0
+    bitgen.state = state
+    return bitgen
 
 
 class TestTrialRecord:
@@ -144,6 +176,59 @@ class TestRunGame:
             want = GameEstimate(success_rate=rate, stderr=float(np.sqrt(rate * (1 - rate) / n)),
                                 n_trials=n, seed=seed)
             assert run_game(state, STREAM_SETTINGS, n, seed) == want
+
+    @settings(deadline=None)
+    @given(st.sampled_from(list(STREAM_STATES)), st.integers(1, 3 * _CHUNK + 7),
+           st.integers(0, 2**63))
+    def test_any_size_matches_one_shot_reference(self, name, n, seed):
+        state = STREAM_STATES[name]
+        a, b, _, _, success = one_shot_rounds(state, STREAM_SETTINGS, n,
+                                              np.random.default_rng(seed))
+        assert np.array_equal(_path_pairs(np.random.PCG64(seed), n), 3 * a + b)
+        rate = float(success.mean())
+        want = GameEstimate(success_rate=rate, stderr=float(np.sqrt(rate * (1 - rate) / n)),
+                            n_trials=n, seed=seed)
+        assert run_game(state, STREAM_SETTINGS, n, seed) == want
+
+    # a refused half (h = 0) in either place, a refused word, and halves
+    # on each side of both path thresholds
+    @pytest.mark.parametrize("word", [0xDEADBEEF00000000, 0x00000000DEADBEEF, 0,
+                                      1431655766 << 32 | 1431655765,
+                                      2863311531 << 32 | 2863311530])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_crafted_words_match_numpy(self, word, n):
+        assert pcg64_before(word).random_raw() == word
+        bitgen, rng = pcg64_before(word), np.random.Generator(pcg64_before(word))
+        a, b = rng.integers(0, 3, size=n), rng.integers(0, 3, size=n)
+        assert np.array_equal(_path_pairs(bitgen, n), 3 * a + b)
+        # the uniforms start at the next whole word, as Generator.random's do
+        assert np.array_equal((bitgen.random_raw(n) >> 11) * 2.0**-53, rng.random(n))
+
+    @pytest.mark.parametrize("c", [0.0, 1.0, float(
+        _outcome_cdf(STREAM_STATES["noisy:0.9"], STREAM_SETTINGS)[5, 0])])
+    def test_uniform_thresholds_at_exact_ties(self, c):
+        t = int(_uniform_thresholds(np.array([c]))[0])
+        assert c in (0.0, 1.0) or t != c * 2.0**53  # the cdf entry is no multiple of 2**-53
+        m = np.array([t, t - 1] if t else [t], dtype=np.uint64)
+        assert np.array_equal(m >= np.uint64(t), m * 2.0**-53 >= c)
+
+    def test_calls_no_generator_method(self, monkeypatch):
+        # Generator is an immutable type, so a subclass whose draws raise
+        # stands in for it wherever the np.random namespace hands one out
+        class NoDraws(np.random.Generator):
+            def integers(self, *args, **kwargs):
+                raise AssertionError("Generator.integers called")
+
+            def random(self, *args, **kwargs):
+                raise AssertionError("Generator.random called")
+
+        want = run_game(PHI_PLUS, OPTIMAL_SETTINGS, 1000, 5)
+        monkeypatch.setattr(np.random, "Generator", NoDraws)
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed=None: NoDraws(np.random.PCG64(seed)))
+        with pytest.raises(AssertionError, match="integers"):
+            np.random.default_rng(5).integers(0, 3)
+        assert run_game(PHI_PLUS, OPTIMAL_SETTINGS, 1000, 5) == want
 
     def test_peak_memory_is_about_a_byte_per_round(self):
         # a one-batch draw peaks near 61 MiB here
