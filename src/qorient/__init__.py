@@ -23,7 +23,6 @@ from .linalg import (
     PAULI_X,
     PAULI_Z,
     Spectrum,
-    hermitian_eigen,
 )
 from .scoring import (
     BetaBreakdown,
@@ -130,7 +129,6 @@ __all__ = [
     "fit_noise_max_point",
     "game_operator",
     "game_operators",
-    "hermitian_eigen",
     "maximally_mixed",
     "noisy_phi_plus",
     "numeric_spectrum",

@@ -104,10 +104,12 @@ def outcome_distribution(state: QuantumState, theta_a, theta_b) -> np.ndarray:
     ``(1 + s_a a.n_a + s_b b.n_b + s_a s_b E) / 4``, which is
     ``tr(rho [A_sa(ta) (x) A_sb(tb)])`` expanded over the Pauli basis.
     """
-    a, b, _ = _bloch_components(state)
-    local_a = (_directions(theta_a) @ a)[..., None]
-    local_b = (_directions(theta_b) @ b)[..., None]
-    corr = correlators(state, theta_a, theta_b)[..., None]
+    a, b, t = _bloch_components(state)
+    n_a, n_b = _directions(theta_a), _directions(theta_b)
+    local_a = (n_a @ a)[..., None]
+    local_b = (n_b @ b)[..., None]
+    # correlators' einsum, so that E keeps its bits
+    corr = np.einsum("...k,kl,...l->...", n_a, t, n_b)[..., None]
     return (1.0 + _SIGN_A * local_a + _SIGN_B * local_b + _SIGN_A * _SIGN_B * corr) / 4.0
 
 

@@ -222,10 +222,6 @@ class CountTable:
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
 
-    def total(self, i: int, j: int) -> float:
-        """N_TOT for path pair (i, j), 1-based."""
-        return float(self.counts[i - 1, j - 1].sum())
-
 
 def synth_counts(state: QuantumState, settings: Parametrization,
                  n_tot_per_pair: int, seed: int) -> CountTable:

@@ -5,13 +5,15 @@ eigenvalue problem: over all states, beta at fixed settings ranges
 exactly over [lambda_min, lambda_max] of the game operator. For the two
 measurement families used throughout (angles (0, 2*phi, 2*theta) and
 (0, 2*theta, -2*theta)) the full spectrum has closed trigonometric
-forms, cross-checked against the numeric eigensolver (LAPACK through
-numpy). The square root in the two-parameter middle pair is taken as
-the modulus of one complex number whose square is exactly the paper's
-radicand, so plain float64 stays accurate at the degeneracies. Both
-forms take whole angle grids, so a sweep evaluates its grid in one
-call. Eigenvectors are classified by their content in the Bell basis
-rather than by index, which stays meaningful under degeneracies.
+forms, cross-checked against the numeric spectrum, for which the game
+operator, exactly Hermitian as built, goes straight to LAPACK's
+Hermitian eigensolver through ``numpy.linalg.eigh``. The square root
+in the two-parameter middle pair is taken as the modulus of one
+complex number whose square is exactly the paper's radicand, so plain
+float64 stays accurate at the degeneracies. Both forms take whole
+angle grids, so a sweep evaluates its grid in one call. Eigenvectors
+are classified by their content in the Bell basis rather than by
+index, which stays meaningful under degeneracies.
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ from .states import (
     _unit_vector,
 )
 
-# sweep_surface refuses larger grids before allocating anything: the
-# largest dataset, eigs with numeric columns as JSON, peaks near 1.05 KiB
-# per point above a 28 MiB interpreter (peak RSS 95 MiB at 256x256, 64 MiB
-# at 181x181; CSV is a few MiB less), so ~190 MiB at the cap
+# sweep_surface refuses larger grids before allocating anything: at the
+# cap, the largest dataset, eigs with numeric columns (eigs --grid 400),
+# peaks at 144.5 MiB RSS as CSV and 155.0 MiB as JSON (getrusage, Python
+# 3.11, numpy 2.4, x86-64 Linux)
 MAX_GRID_POINTS = 160_000
 
 SEARCH_GRID_STEP_DEG = 0.5
@@ -133,8 +135,12 @@ def closed_form_one_param(theta) -> ClosedFormSpectrum:
 
 
 def numeric_spectrum(settings: Parametrization) -> linalg.Spectrum:
-    """Spectrum of the game operator by the numeric eigensolver (LAPACK)."""
-    return linalg.hermitian_eigen(game_operator(settings.settings()))
+    """Spectrum of the game operator by the numeric eigensolver (LAPACK).
+
+    The operator goes to ``eigh`` unchecked: ``game_operators`` builds it
+    exactly Hermitian, with zero imaginary part, at any finite settings.
+    """
+    return linalg._eigh_descending(game_operator(settings))
 
 
 @dataclass(frozen=True)
@@ -340,5 +346,5 @@ def sweep_surface(family, grid_resolution: int, state: QuantumState | None = Non
     if include_numeric:
         columns += ("lambda1_numeric", "lambda2_numeric",
                     "lambda3_numeric", "lambda4_numeric")
-        values += list(linalg.hermitian_eigen(game_operators(angles)).eigenvalues.T)
+        values += list(linalg._eigh_descending(game_operators(angles)).eigenvalues.T)
     return SweepDataset(columns=columns, data=tuple(values))

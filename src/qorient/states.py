@@ -21,6 +21,7 @@ import numpy as np
 
 from . import linalg
 
+HERMITICITY_TOL = 1e-10
 STATE_TRACE_TOL = 1e-10
 STATE_EIGENVALUE_FLOOR = -1e-9
 AMPLITUDE_NORM_TOL = 1e-10
@@ -140,8 +141,9 @@ BELL_BASIS_ORDER = (BellState.PHI_PLUS, BellState.PHI_MINUS,
 class QuantumState:
     """A two-qubit density matrix.
 
-    Validated on construction: Hermitian, unit trace, and positive
-    semidefinite up to a small numerical floor.
+    Validated on construction: a 4x4 matrix of finite entries, Hermitian
+    up to HERMITICITY_TOL, of unit trace, and positive semidefinite up to
+    a small numerical floor.
     """
 
     rho: np.ndarray
@@ -150,7 +152,17 @@ class QuantumState:
         rho = np.asarray(self.rho, dtype=complex)
         if rho.shape != (4, 4):
             raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-        rho = linalg._hermitian(rho, "QuantumState")
+        # One pass for two faults: a nan or inf entry makes the Hermiticity
+        # defect (max |rho - rho^dagger|) nan or inf, so one comparison
+        # refuses both; only a refused matrix is then tested for finiteness,
+        # so that the message names that fault first.
+        with np.errstate(invalid="ignore"):  # an inf entry subtracts inf from inf
+            defect = float(np.abs(rho - rho.conj().T).max())
+        if not defect <= HERMITICITY_TOL:
+            if not np.isfinite(rho).all():
+                raise ValueError("matrix entries must be finite")
+            raise ValueError(f"QuantumState requires a Hermitian matrix "
+                             f"(defect {defect:.3e} > {HERMITICITY_TOL:.0e})")
         tr = rho.trace()
         if abs(tr - 1.0) > STATE_TRACE_TOL:
             raise ValueError(f"density matrix trace {tr:.12g} != 1")
@@ -161,12 +173,6 @@ class QuantumState:
         rho = rho.copy()
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
-
-    def mix(self, other: "QuantumState", weight: float) -> "QuantumState":
-        """Convex mixture weight*self + (1-weight)*other."""
-        if not 0.0 <= weight <= 1.0:
-            raise ValueError(f"mixture weight must lie in [0, 1], got {weight}")
-        return QuantumState(weight * self.rho + (1.0 - weight) * other.rho)
 
 
 def _unit_vector(vector) -> np.ndarray:

@@ -48,17 +48,28 @@ MUTANTS = (
            "    return g.astype(complex)\n", "    return g\n",
            ("test_properties.py::test_operator_bits_match_complex_table",),
            "eigh of a real G runs another LAPACK routine: eigenvalue bits change"),
-    Mutant("defect-greater-than-tol", "linalg.py",
-           "    if not defect <= HERMITICITY_TOL:\n", "    if defect > HERMITICITY_TOL:\n",
-           ("test_linalg.py", "test_states.py"),
+    Mutant("asymmetric-game-operator", "scoring.py",
+           "    return g.astype(complex)\n",
+           "    g[..., 0, 1] = np.nextafter(g[..., 0, 1], np.inf)\n    return g.astype(complex)\n",
+           ("test_properties.py::test_game_operators_exactly_hermitian",),
+           "G is no longer exactly symmetric, so eigh, which reads one triangle, "
+           "solves another matrix than the one scored"),
+    Mutant("numeric-spectrum-ascending", "spectra.py",
+           "    return linalg._eigh_descending(game_operator(settings))\n",
+           "    return linalg.Spectrum(*np.linalg.eigh(game_operator(settings)))\n",
+           ("test_properties.py::test_numeric_spectrum_is_eigh_reversed",),
+           "numeric_spectrum skips the descending flip and the read-only flags"),
+    Mutant("defect-greater-than-tol", "states.py",
+           "        if not defect <= HERMITICITY_TOL:\n", "        if defect > HERMITICITY_TOL:\n",
+           ("test_states.py",),
            "a nan or inf defect compares false, so a non-finite matrix passes"),
-    Mutant("no-errstate", "linalg.py",
-           '    with np.errstate(invalid="ignore"):', "    if True:",
-           ("test_linalg.py", "test_states.py"),
+    Mutant("no-errstate", "states.py",
+           '        with np.errstate(invalid="ignore"):', "        if True:",
+           ("test_states.py",),
            "an inf entry raises a RuntimeWarning on its way to the refusal"),
-    Mutant("dropped-finite-test", "linalg.py",
-           "        if not np.isfinite(m).all():\n", "        if False:\n",
-           ("test_linalg.py", "test_states.py"),
+    Mutant("dropped-finite-test", "states.py",
+           "            if not np.isfinite(rho).all():\n", "            if False:\n",
+           ("test_states.py",),
            "a nan or inf matrix is refused as non-Hermitian, not as non-finite"),
     Mutant("dropped-state-shape-check", "states.py",
            "        if rho.shape != (4, 4):\n", "        if False:\n",

@@ -6,7 +6,8 @@ products are the spin projectors (the half-angle convention). The game
 operator is checked against its definition, the sum of 18
 Kronecker products of spin projectors built here with ``np.kron``, and
 bit for bit against its first complex-table construction, eigenvalues
-included;
+included; it is exactly real and symmetric, and ``numeric_spectrum`` is
+``eigh`` of it reversed, bit for bit;
 the score is ``4.5 + <M, E> / 2`` with ``M = 2I - J`` and correlators
 built here, and its per-term breakdown follows ``OPP_PAIRS``;
 every score, distribution and sweep row is checked against that
@@ -163,6 +164,31 @@ def test_operator_bits_match_complex_table(stack):
         assert np.array_equal(game_operator(point), want)
         assert np.array_equal(numeric_spectrum(point).eigenvalues,
                               np.linalg.eigh(want)[0][::-1])
+
+
+@settings(deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 4), st.just(3)),
+              elements=angles))
+def test_game_operators_exactly_hermitian(stack):
+    """Real and symmetric bit for bit, which is why ``numeric_spectrum`` and
+    ``sweep_surface`` send the operators to ``eigh`` unchecked."""
+    g = game_operators(stack)
+    assert np.array_equal(g.imag, np.zeros_like(g.imag))
+    assert np.array_equal(g, np.swapaxes(g, -1, -2))
+
+
+@settings(deadline=None)
+@given(triples)
+def test_numeric_spectrum_is_eigh_reversed(triple):
+    vals, vecs = np.linalg.eigh(game_operator(triple))
+    spec = numeric_spectrum(triple)
+    assert np.array_equal(spec.eigenvalues, vals[::-1])
+    assert np.array_equal(spec.eigenvectors, vecs[:, ::-1])
+    assert not spec.eigenvalues.flags.writeable and not spec.eigenvectors.flags.writeable
+    assert np.all(np.diff(spec.eigenvalues) <= 0)
+    v = spec.eigenvectors
+    assert np.abs(v.conj().T @ v - np.eye(4)).max() <= 1e-12
+    assert np.abs(game_operator(triple) @ v - v * spec.eigenvalues).max() <= 1e-12
 
 
 @settings(deadline=None)
@@ -333,9 +359,8 @@ def test_sweep_rows_match_single_point_calls(state, grid):
             params = np.radians(row[:n_lead])
             assert row[n_lead:n_lead + 4] == pytest.approx(
                 closed_form(*params).as_array(), abs=TOL)
-            if family is TwoParam:
-                assert row[-4:] == pytest.approx(
-                    numeric_spectrum(family(*params)).eigenvalues, abs=TOL)
+            # the batched eigensolve gives each point's bits
+            assert list(row[-4:]) == numeric_spectrum(family(*params)).eigenvalues.tolist()
 
 
 @settings(deadline=None)

@@ -18,9 +18,9 @@ from qorient import (
     beta_value,
     correlators,
     game_operator,
-    hermitian_eigen,
     maximally_mixed,
     noisy_phi_plus,
+    numeric_spectrum,
     outcome_distribution,
 )
 from qorient.scoring import GAME_MATRIX
@@ -117,12 +117,12 @@ class TestGameOperator:
             assert np.abs(op - op.conj().T).max() < 1e-12
 
     def test_top_eigenvalue_at_optimum(self):
-        spec = hermitian_eigen(game_operator(OPTIMAL_SETTINGS))
+        spec = numeric_spectrum(OPTIMAL_SETTINGS)
         assert abs(spec.eigenvalues[0] - 7.5) < 1e-9
 
     def test_all_settings_zero(self):
         # collapses to 3*(same terms) + 6*(cross terms); spectrum {6, 6, 3, 3}
-        spec = hermitian_eigen(game_operator(SettingTriple(0.0, 0.0, 0.0)))
+        spec = numeric_spectrum(SettingTriple(0.0, 0.0, 0.0))
         assert np.allclose(np.sort(spec.eigenvalues), [3, 3, 6, 6], atol=1e-12)
 
 
@@ -168,7 +168,7 @@ class TestBetaValue:
             s2 = random_bell_mixture(rng)
             settings = random_settings(rng)
             w = rng.uniform()
-            mixed = s1.mix(s2, w)
+            mixed = QuantumState(w * s1.rho + (1 - w) * s2.rho)
             expected = w * beta_value(s1, settings).beta + (1 - w) * beta_value(s2, settings).beta
             assert abs(beta_value(mixed, settings).beta - expected) < 1e-10
 
@@ -177,7 +177,7 @@ class TestBetaValue:
         for _ in range(100):
             state = random_bell_mixture(rng)
             settings = random_settings(rng)
-            spec = hermitian_eigen(game_operator(settings))
+            spec = numeric_spectrum(settings)
             b = beta_value(state, settings).beta
             assert spec.eigenvalues[-1] - 1e-9 <= b <= spec.eigenvalues[0] + 1e-9
 

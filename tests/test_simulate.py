@@ -260,9 +260,7 @@ class TestRunGame:
 class TestSynthCounts:
     def test_totals_per_pair(self):
         table = synth_counts(MIXED, OPTIMAL_SETTINGS, 1000, 0)
-        for i in (1, 2, 3):
-            for j in (1, 2, 3):
-                assert table.total(i, j) == 1000
+        assert np.array_equal(table.counts.sum(axis=-1), np.full((3, 3), 1000.0))
 
     def test_phi_plus_equal_settings_never_disagree(self):
         table = synth_counts(PHI_PLUS, OPTIMAL_SETTINGS, 5000, 1)
@@ -292,9 +290,10 @@ class TestSynthCounts:
             synth_counts(PHI_PLUS, OPTIMAL_SETTINGS, 100, -1)
 
     def test_expected_counts_take_a_float_total(self):
-        assert expected_counts(MIXED, OPTIMAL_SETTINGS, 100.5).total(1, 2) == pytest.approx(100.5)
+        table = expected_counts(MIXED, OPTIMAL_SETTINGS, 100.5)
+        assert table.counts[0, 1].sum() == pytest.approx(100.5)
         table = expected_counts(MIXED, OPTIMAL_SETTINGS, np.float64(1000.0))
-        assert table.total(2, 3) == pytest.approx(1000.0)
+        assert table.counts[1, 2].sum() == pytest.approx(1000.0)
 
     @pytest.mark.parametrize("n", [float("nan"), float("inf"), float("-inf"),
                                    True, np.True_, 0, -1])

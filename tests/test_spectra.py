@@ -38,6 +38,15 @@ class TestClosedFormTwoParam:
         assert abs(cf.lambda3 - 4.5) < 1e-9
         assert abs(cf.lambda4 - 4.5) < 1e-9
 
+    def test_degenerate_subspace_at_optimum(self):
+        # the middle pair is degenerate at (60, -60) degrees: compare the
+        # spanned subspace with span{psi+, phi-}, not the vectors
+        spec = numeric_spectrum(TwoParam(60 * DEG, -60 * DEG))
+        assert np.allclose(spec.eigenvalues, [7.5, 4.5, 4.5, 1.5], atol=1e-12)
+        ours = spec.eigenvectors[:, 1:3]
+        theirs = np.stack([BellState.PSI_PLUS.vector, BellState.PHI_MINUS.vector], axis=1)
+        assert np.abs(ours @ ours.conj().T - theirs @ theirs.conj().T).max() < 1e-12
+
     def test_zero_angles(self):
         cf = closed_form_two_param(0.0, 0.0)
         assert abs(cf.lambda1 - 3.0) < 1e-12

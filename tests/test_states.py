@@ -1,11 +1,11 @@
 """Measurement settings, Bell states, density matrices and noisy mixtures."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from qorient import hermitian_eigen
 from qorient.states import (
     BELL_BASIS_ORDER,
     BellState,
@@ -98,15 +98,40 @@ class TestQuantumState:
         (np.array([np.eye(4) / 4] * 2), "expected a 4x4 density matrix, got shape (2, 4, 4)"),
         (np.diag([np.nan, 0.5, 0.25, 0.25]), "matrix entries must be finite"),
         (np.diag([np.inf, 0.0, 0.0, 0.0]), "matrix entries must be finite"),
-    ], ids=["2x2", "stack", "nan", "inf"])
+        (np.full((4, 3), np.nan), "expected a 4x4 density matrix, got shape (4, 3)"),
+    ], ids=["2x2", "stack", "nan", "inf", "nan-4x3"])
     @pytest.mark.filterwarnings("error")  # refused without a RuntimeWarning
     def test_refused_with_one_value_error(self, rho, message):
         with pytest.raises(ValueError) as exc:
             QuantumState(rho)
         assert str(exc.value) == message and exc.value.__context__ is None
 
+    @pytest.mark.filterwarnings("error")  # refused without a RuntimeWarning
+    @pytest.mark.parametrize("bad", [np.nan, complex(0, np.nan), np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (3, 3), (1, 2)])
+    def test_one_non_finite_entry(self, bad, where):
+        # nan or inf on or off the diagonal of an otherwise valid state; a
+        # non-Hermitian entry elsewhere does not change the message
+        rho = np.eye(4, dtype=complex) / 4
+        rho[where] = bad
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            QuantumState(rho)
+        rho[0, 3] = 1.0
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            QuantumState(rho)
+
+    def test_hermiticity_tolerance_boundary(self):
+        rho = np.eye(4, dtype=complex) / 4
+        rho[0, 1] = 2e-10
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "QuantumState requires a Hermitian matrix (defect 2.000e-10 > 1e-10)") + "$"):
+            QuantumState(rho)
+        rho[0, 1] = 1e-10  # a defect at the tolerance is accepted
+        QuantumState(rho)
+
     def test_mix(self):
-        mixed = bell_state_density(BellState.PHI_PLUS).mix(maximally_mixed(), 0.5)
+        mixed = QuantumState(0.5 * bell_state_density(BellState.PHI_PLUS).rho
+                             + 0.5 * maximally_mixed().rho)
         assert abs(np.trace(mixed.rho) - 1.0) < 1e-12
 
 
@@ -123,9 +148,9 @@ class TestNoisyPhiPlus:
 
     @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.75, 0.98, 1.0])
     def test_eigenvalues(self, p):
-        spec = hermitian_eigen(noisy_phi_plus(p).rho)
+        eigenvalues = np.linalg.eigvalsh(noisy_phi_plus(p).rho)[::-1]
         expected = sorted([(1 + 3 * p) / 4] + [(1 - p) / 4] * 3, reverse=True)
-        assert np.abs(spec.eigenvalues - expected).max() < 1e-10
+        assert np.abs(eigenvalues - expected).max() < 1e-10
 
 
 class TestSuperpose:
